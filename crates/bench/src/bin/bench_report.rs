@@ -1,8 +1,7 @@
-//! Machine-readable performance report: `BENCH_9.json`.
+//! Machine-readable performance report: `BENCH_10.json`.
 //!
-//! Measures the throughput numbers this repository's CI tracks per-PR
-//! (see ISSUE 2 / ISSUE 4 / ISSUE 5 / ISSUE 6 / ISSUE 7 / ISSUE 8 /
-//! ISSUE 9 / ISSUE 10 and `DESIGN.md` §5–§12):
+//! Measures the throughput numbers this repository's CI tracks per
+//! change (see `DESIGN.md` §5–§12):
 //!
 //! 1. **batching speedup** — the batched `Trng::fill_bytes` fast path
 //!    against the per-bit `next_bit` path on the behavioural DH-TRNG
@@ -59,13 +58,20 @@
 //!    partial-byte tail included). `conditioning.block_speedup` is the
 //!    CRC-16 ratio-2 ratio — the pipeline's default conditioner — and
 //!    CI fails the job when any `match` flag is false or when the
-//!    conditioned-tier read path allocates.
+//!    conditioned-tier read path allocates;
+//! 10. **health gate** — ns per bit of the shard worker's SP 800-90B
+//!     gate over one 64 KiB chunk of generator output, through the
+//!     bit-serial `HealthMonitor::feed` loop vs the word-level
+//!     `HealthMonitor::feed_bytes`, plus a bit-exactness check (both
+//!     must leave identical monitors, on the healthy chunk and on a
+//!     copy with a stuck-at run spliced in). CI fails the job when
+//!     `health.match` is false.
 //!
 //! Usage: `bench_report [--quick] [--out PATH]` (default
-//! `BENCH_9.json` in the working directory; CI uploads it as a
+//! `BENCH_10.json` in the working directory; CI uploads it as a
 //! workflow artifact and compares it against the committed snapshot:
-//! a non-zero `allocs_per_read`, a false conditioning `match`, or
-//! a 20%+ drop in the batching speedup **fails the job**, while
+//! a non-zero `allocs_per_read`, a false conditioning or health
+//! `match`, or a 20%+ drop in the batching speedup **fails the job**, while
 //! raw-Mbps and serve-latency drifts stay warnings — wall-clock
 //! throughput on shared runners is too noisy to gate on).
 
@@ -78,7 +84,7 @@ use dhtrng_core::conditioning::{
     BitSink, Conditioner, CrcWhitener, LfsrConditioner, VonNeumannConditioner, XorFold,
 };
 use dhtrng_core::drbg::DrbgConfig;
-use dhtrng_core::{DhTrng, SlicedDhTrng, Trng};
+use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus, SlicedDhTrng, Trng};
 use dhtrng_serve::{loadgen, LoadConfig, Service};
 use dhtrng_stream::{
     ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, KernelKind,
@@ -496,6 +502,67 @@ fn measure_conditioned_allocs(reads: usize) -> f64 {
     (after - before) as f64 / reads as f64
 }
 
+/// The shard worker's health gate measured both ways on one chunk of
+/// generator output: ns per bit through the bit-serial `feed` loop vs
+/// `feed_bytes`, each with a monitor that persists across repetitions
+/// as a worker's does. The match check runs on fresh monitors before
+/// timing — on the chunk itself and on a copy with a 40-bit stuck-at
+/// run spliced in, so the trip path is compared too.
+struct HealthRow {
+    serial_ns_per_bit: f64,
+    word_ns_per_bit: f64,
+    speedup: f64,
+    matches: bool,
+}
+
+fn measure_health(chunk_bytes: usize, budget_s: f64) -> HealthRow {
+    fn serial_gate(monitor: &mut HealthMonitor, chunk: &[u8]) -> HealthStatus {
+        for &byte in chunk {
+            for i in (0..8).rev() {
+                let status = monitor.feed((byte >> i) & 1 == 1);
+                if status != HealthStatus::Ok {
+                    return status;
+                }
+            }
+        }
+        HealthStatus::Ok
+    }
+    let mut chunk = vec![0u8; chunk_bytes];
+    DhTrng::builder().seed(1).build().fill_bytes(&mut chunk);
+    let mut stuck = chunk.clone();
+    let stuck_at = chunk_bytes * 4 + 3;
+    for bit in stuck_at..stuck_at + 40 {
+        stuck[bit / 8] |= 0x80 >> (bit % 8);
+    }
+    let matches = [&chunk, &stuck].iter().all(|input| {
+        let mut serial = HealthMonitor::new();
+        let mut word = HealthMonitor::new();
+        serial_gate(&mut serial, input) == word.feed_bytes(input) && serial == word
+    });
+
+    let bits = (chunk_bytes * 8) as f64;
+    let mut monitor = HealthMonitor::new();
+    let serial_s = time_mean_s(
+        || {
+            std::hint::black_box(serial_gate(&mut monitor, &chunk));
+        },
+        budget_s,
+    );
+    let mut monitor = HealthMonitor::new();
+    let word_s = time_mean_s(
+        || {
+            std::hint::black_box(monitor.feed_bytes(&chunk));
+        },
+        budget_s,
+    );
+    HealthRow {
+        serial_ns_per_bit: serial_s * 1e9 / bits,
+        word_ns_per_bit: word_s * 1e9 / bits,
+        speedup: serial_s / word_s,
+        matches,
+    }
+}
+
 /// Fleet latency over the daemon's connection state machine: one
 /// shared 4-shard source, `clients` concurrent drbg sessions, full
 /// wire round-trips per read. Aborts on any protocol error or
@@ -535,7 +602,7 @@ fn mbps_array(values: &[f64]) -> String {
 
 fn main() {
     let quick = args::switch("--quick");
-    let out_path: String = args::flag("--out", "BENCH_9.json".to_string());
+    let out_path: String = args::flag("--out", "BENCH_10.json".to_string());
     let budget_s = if quick { 0.05 } else { 0.5 };
     let bits = if quick { 1 << 18 } else { 1 << 21 };
     let stream_bytes: usize = if quick { 1 << 18 } else { 1 << 22 };
@@ -668,6 +735,9 @@ fn main() {
     let conditioning_machines = conditioning_rows.join(",\n");
     let conditioned_allocs = measure_conditioned_allocs(alloc_reads);
 
+    // 10. Health gate: bit-serial vs word-level on one 64 KiB chunk.
+    let health = measure_health(64 * 1024, budget_s);
+
     let (telemetry_off_ns, _) = measure_telemetry_point(None, budget_s, alloc_reads);
     let telemetry_tracer: std::sync::Arc<dyn dhtrng_stream::Recorder> =
         std::sync::Arc::new(dhtrng_stream::Tracer::deterministic(1024));
@@ -712,9 +782,9 @@ fn main() {
     let usable_cores = 4usize.min(cpus.max(1));
     let auto_decision = format!(
         "shards=4, host_cpus={cpus}: scalar threads get min(4, {cpus}) = {usable_cores} \
-         usable core(s); the sliced bank's measured single-core advantage 1.80x (BENCH_6 \
-         kernel.speedup 1.86) {cmp} {usable_cores}.00x, so Auto resolves to {auto_selected}",
-        cmp = if 1.8 >= usable_cores as f64 {
+         usable core(s); the sliced bank measured {kernel_speedup:.2}x one scalar worker on \
+         one core in this run ({cmp} {usable_cores}.00x); Auto resolves to {auto_selected}",
+        cmp = if kernel_speedup >= usable_cores as f64 {
             ">="
         } else {
             "<"
@@ -723,7 +793,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": "dhtrng-bench-report/9",
+  "schema": "dhtrng-bench-report/10",
   "quick": {quick},
   "host_cpus": {cpus},
   "batching": {{
@@ -814,6 +884,14 @@ fn main() {
     ],
     "note": "ns per raw input bit through each conditioning machine, bit-serial push loop vs the table-driven condition_block path, on one deterministic mixed-content buffer. 'match' verifies the block path produced the bit-identical output stream (partial-byte tail included) on fresh machine state before timing; CI fails the job when any match is false. The headline block_speedup is crc-ratio2 — the pipeline's default conditioner — and the acceptance floor is 4x (see DESIGN.md section 12). conditioned_tier_allocs_per_read is heap allocations per steady-state conditioned-tier 64 KiB chunk read under the counting allocator: the ConditionerStage rewrites recycled buffers in place through stack staging, so CI fails the job on any non-zero value."
   }},
+  "health": {{
+    "chunk_bytes": 65536,
+    "serial_ns_per_bit": {health_serial:.3},
+    "word_ns_per_bit": {health_word:.3},
+    "speedup": {health_speedup:.2},
+    "match": {health_match},
+    "note": "ns per bit of the shard worker's SP 800-90B RCT+APT gate (default cutoffs 32, 1024/624) over one 64 KiB chunk of DH-TRNG output, bit-serial HealthMonitor::feed loop vs the word-level HealthMonitor::feed_bytes, each with a monitor persisting across repetitions. 'match' verifies on fresh monitors before timing that both gates return the same status and leave identical monitors, on the chunk and on a copy with a 40-bit stuck-at run spliced in; CI fails the job when it is false (see DESIGN.md section 5)."
+  }},
   "telemetry": {{
     "read_bytes_per_chunk": 65536,
     "recorder_off_ns_per_chunk": {telemetry_off_ns:.1},
@@ -888,14 +966,20 @@ fn main() {
         telemetry_on_ns = telemetry_on_ns,
         telemetry_overhead = telemetry_overhead,
         telemetry_on_allocs = telemetry_on_allocs,
+        health_serial = health.serial_ns_per_bit,
+        health_word = health.word_ns_per_bit,
+        health_speedup = health.speedup,
+        health_match = health.matches,
         anchor = single.throughput_mbps(),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
     eprintln!(
-        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {selected_kernel}/{simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match})",
+        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {selected_kernel}/{simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate word {health_speedup:.1}x, match = {health_match})",
         clients = serve.clients,
         p50 = serve.p50_us,
         p99 = serve.p99_us,
+        health_speedup = health.speedup,
+        health_match = health.matches,
     );
 }

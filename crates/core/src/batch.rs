@@ -14,12 +14,15 @@
 //! * the `Vec<BeatOscillator>` indirection of the beat bank.
 //!
 //! [`BlockKernel`] hoists all of that out of the inner loop once per
-//! block, then generates up to 64 cycles per call into a packed word.
+//! block. Each call then copies the beat bank and the [`NoiseRng`] into
+//! locals of a compile-time width, so both stay in registers while it
+//! generates, and writes them back once at the end.
 //! The kernel is **bit-exact**: for the same starting state and the same
 //! [`NoiseRng`], it produces exactly the stream the per-bit reference
 //! produces (every arithmetic step is provably the same f64 computation;
 //! the equivalence is additionally pinned by tests here, in `trng.rs`,
-//! and in the workspace-level `tests/batching.rs`).
+//! and in the workspace-level `tests/batching.rs` and
+//! `tests/kernel_props.rs`).
 
 use dhtrng_noise::NoiseRng;
 
@@ -94,10 +97,11 @@ pub fn pack_bits(n: u32, mut cycle: impl FnMut() -> bool) -> u64 {
 /// phases through the feedback line when the output bit is 1.
 ///
 /// Usage: build from the generator's state, call
-/// [`next_word`](Self::next_word) / [`next_bits`](Self::next_bits) as
-/// often as needed, then [`write_back`](Self::write_back) the advanced
-/// phases. The `NoiseRng` is borrowed per call, so its state stays in
-/// the owning generator throughout.
+/// [`next_word`](Self::next_word) / [`next_bits`](Self::next_bits) /
+/// [`fill_bytes`](Self::fill_bytes) as often as needed, then
+/// [`write_back`](Self::write_back) the advanced phases. The `NoiseRng`
+/// is borrowed per call and advanced in place before the call returns,
+/// so between calls its state lives in the owning generator.
 #[derive(Debug, Clone)]
 pub struct BlockKernel {
     beats: usize,
@@ -111,6 +115,31 @@ pub struct BlockKernel {
     p_rand_threshold: u64,
     half_threshold: u64,
     bias_threshold: u64,
+}
+
+/// Bank widths are rounded up to a multiple of this many lanes. Every
+/// width is its own instantiation of the hot loop, so the rounding
+/// bounds the instantiations at `MAX_BEATS / LANE_GROUP`.
+const LANE_GROUP: usize = 4;
+
+const _: () = assert!(MAX_BEATS == 8 * LANE_GROUP, "at_width! lists 8 widths");
+
+/// Calls `$body::<W>($args)` where `W` is the bank size rounded up to a
+/// multiple of [`LANE_GROUP`]: a compile-time width, so the beat loops
+/// unroll and the bank lives in registers for the whole call.
+macro_rules! at_width {
+    ($beats:expr, $body:ident($($arg:expr),*)) => {
+        match $beats.div_ceil(LANE_GROUP) {
+            0 | 1 => $body::<4>($($arg),*),
+            2 => $body::<8>($($arg),*),
+            3 => $body::<12>($($arg),*),
+            4 => $body::<16>($($arg),*),
+            5 => $body::<20>($($arg),*),
+            6 => $body::<24>($($arg),*),
+            7 => $body::<28>($($arg),*),
+            _ => $body::<32>($($arg),*),
+        }
+    };
 }
 
 impl BlockKernel {
@@ -190,46 +219,6 @@ impl BlockKernel {
         Ok(kernel)
     }
 
-    /// One cycle of the Eq. 5 structure — the same draws, in the same
-    /// order, as the per-bit reference paths.
-    #[inline]
-    fn cycle(&mut self, rng: &mut NoiseRng) -> bool {
-        // Free-running beats advance every cycle. Phase and increment
-        // both lie in [0, 1), so the wrapped sum lies in [0, 2) and the
-        // compare-and-subtract equals `rem_euclid(1.0)` exactly.
-        let mut beat_xor = false;
-        for i in 0..self.beats {
-            let mut phase = self.phases[i] + self.increments[i];
-            if phase >= 1.0 {
-                phase -= 1.0;
-            }
-            self.phases[i] = phase;
-            beat_xor ^= phase < self.duties[i];
-        }
-        let mut bit = if rng.bernoulli_fast(self.p_rand_threshold) {
-            rng.bernoulli_fast(self.half_threshold)
-        } else {
-            beat_xor
-        };
-        if !bit && rng.bernoulli_fast(self.bias_threshold) {
-            bit = true;
-        }
-        if bit && self.kick_scale != 0.0 {
-            // Feedback: one uniform draw spread over the rings. Kick
-            // amounts stay below the scale (< 1), so the same
-            // compare-and-subtract wrap applies.
-            let kick = self.kick_scale * rng.uniform();
-            for i in 0..self.beats {
-                let mut phase = self.phases[i] + kick * self.kick_mults[i];
-                if phase >= 1.0 {
-                    phase -= 1.0;
-                }
-                self.phases[i] = phase;
-            }
-        }
-        bit
-    }
-
     /// Generates `n` cycles (1..=64), oldest bit first: the first cycle
     /// lands in bit `n - 1`, the newest in bit 0 — the packing a
     /// `next_bit` fold produces.
@@ -240,11 +229,7 @@ impl BlockKernel {
     #[inline]
     pub fn next_bits(&mut self, rng: &mut NoiseRng, n: u32) -> u64 {
         assert!((1..=64).contains(&n), "next_bits takes 1..=64, got {n}");
-        let mut word = 0u64;
-        for _ in 0..n {
-            word = (word << 1) | u64::from(self.cycle(rng));
-        }
-        word
+        at_width!(self.beats, next_bits_at(self, rng, n))
     }
 
     /// Generates a full 64-cycle word (oldest cycle in the MSB).
@@ -258,13 +243,7 @@ impl BlockKernel {
     /// `Trng::fill_bytes`; callers build one kernel per buffer and
     /// [`write_back`](Self::write_back) once at the end.
     pub fn fill_bytes(&mut self, rng: &mut NoiseRng, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in chunks.by_ref() {
-            chunk.copy_from_slice(&self.next_word(rng).to_be_bytes());
-        }
-        for slot in chunks.into_remainder() {
-            *slot = self.next_bits(rng, 8) as u8;
-        }
+        at_width!(self.beats, fill_bytes_at(self, rng, buf))
     }
 
     /// Writes the advanced phases back into the generator's beat bank.
@@ -278,6 +257,128 @@ impl BlockKernel {
         for (beat, &phase) in beats.iter_mut().zip(&self.phases) {
             beat.set_phase(phase);
         }
+    }
+}
+
+/// [`BlockKernel::next_bits`] at a fixed bank width.
+fn next_bits_at<const W: usize>(kernel: &mut BlockKernel, rng: &mut NoiseRng, n: u32) -> u64 {
+    let mut bank = Bank::<W>::load(kernel, rng);
+    let word = bank.next_bits(n);
+    bank.store(kernel, rng);
+    word
+}
+
+/// [`BlockKernel::fill_bytes`] at a fixed bank width.
+fn fill_bytes_at<const W: usize>(kernel: &mut BlockKernel, rng: &mut NoiseRng, buf: &mut [u8]) {
+    let mut bank = Bank::<W>::load(kernel, rng);
+    let mut chunks = buf.chunks_exact_mut(8);
+    for chunk in chunks.by_ref() {
+        chunk.copy_from_slice(&bank.next_bits(64).to_be_bytes());
+    }
+    for slot in chunks.into_remainder() {
+        *slot = bank.next_bits(8) as u8;
+    }
+    bank.store(kernel, rng);
+}
+
+/// One call's working copy of a [`BlockKernel`] and its `NoiseRng`,
+/// `W` lanes wide.
+///
+/// Loaded once per call and stored once at its end. Between the two,
+/// nothing reaches the bank or the generator through memory, so the
+/// phases and the four xoshiro words stay in registers across the
+/// cycles. Lanes past the real bank are inert: phase, increment, duty
+/// and kick multiplier 0, so each cycle adds exactly `+0.0` to them,
+/// never wraps them, and never flips the beat XOR.
+struct Bank<const W: usize> {
+    phases: [f64; W],
+    increments: [f64; W],
+    duties: [f64; W],
+    kick_mults: [f64; W],
+    kick_scale: f64,
+    p_rand_threshold: u64,
+    half_threshold: u64,
+    bias_threshold: u64,
+    rng: NoiseRng,
+}
+
+impl<const W: usize> Bank<W> {
+    #[inline(always)]
+    fn load(kernel: &BlockKernel, rng: &NoiseRng) -> Self {
+        fn lanes<const W: usize>(row: &[f64; MAX_BEATS]) -> [f64; W] {
+            let mut out = [0.0; W];
+            out.copy_from_slice(&row[..W]);
+            out
+        }
+        Self {
+            phases: lanes(&kernel.phases),
+            increments: lanes(&kernel.increments),
+            duties: lanes(&kernel.duties),
+            kick_mults: lanes(&kernel.kick_mults),
+            kick_scale: kernel.kick_scale,
+            p_rand_threshold: kernel.p_rand_threshold,
+            half_threshold: kernel.half_threshold,
+            bias_threshold: kernel.bias_threshold,
+            rng: rng.clone(),
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, kernel: &mut BlockKernel, rng: &mut NoiseRng) {
+        kernel.phases[..W].copy_from_slice(&self.phases);
+        *rng = self.rng;
+    }
+
+    /// One cycle of the Eq. 5 structure — the same draws, in the same
+    /// order, as the per-bit reference paths.
+    #[inline(always)]
+    fn cycle(&mut self) -> bool {
+        // Free-running beats advance every cycle. Phase and increment
+        // both lie in [0, 1), so the wrapped sum lies in [0, 2) and the
+        // compare-and-subtract equals `rem_euclid(1.0)` exactly.
+        let mut beat_xor = false;
+        for i in 0..W {
+            let mut phase = self.phases[i] + self.increments[i];
+            if phase >= 1.0 {
+                phase -= 1.0;
+            }
+            self.phases[i] = phase;
+            beat_xor ^= phase < self.duties[i];
+        }
+        let rng = &mut self.rng;
+        let mut bit = if rng.bernoulli_fast(self.p_rand_threshold) {
+            rng.bernoulli_fast(self.half_threshold)
+        } else {
+            beat_xor
+        };
+        if !bit && rng.bernoulli_fast(self.bias_threshold) {
+            bit = true;
+        }
+        if bit && self.kick_scale != 0.0 {
+            // Feedback: one uniform draw spread over the rings. Kick
+            // amounts stay below the scale (< 1), so the same
+            // compare-and-subtract wrap applies.
+            let kick = self.kick_scale * rng.uniform();
+            for i in 0..W {
+                let mut phase = self.phases[i] + kick * self.kick_mults[i];
+                if phase >= 1.0 {
+                    phase -= 1.0;
+                }
+                self.phases[i] = phase;
+            }
+        }
+        bit
+    }
+
+    /// `n` cycles packed oldest bit first (`1 <= n <= 64`, checked by
+    /// the public callers).
+    #[inline(always)]
+    fn next_bits(&mut self, n: u32) -> u64 {
+        let mut word = 0u64;
+        for _ in 0..n {
+            word = (word << 1) | u64::from(self.cycle());
+        }
+        word
     }
 }
 
@@ -362,7 +463,7 @@ mod tests {
         let mut rng_b = NoiseRng::seed_from_u64(4);
         let mut a = BlockKernel::new(&beats, 0.6, 1e-4, None).unwrap();
         let mut b = BlockKernel::new(&beats, 0.6, 1e-4, None).unwrap();
-        let bits: Vec<bool> = (0..12).map(|_| a.cycle(&mut rng_a)).collect();
+        let bits: Vec<bool> = (0..12).map(|_| a.next_bits(&mut rng_a, 1) == 1).collect();
         let word = b.next_bits(&mut rng_b, 12);
         let unpacked: Vec<bool> = (0..12).rev().map(|i| (word >> i) & 1 == 1).collect();
         assert_eq!(bits, unpacked);

@@ -40,7 +40,7 @@ pub enum HealthStatus {
 /// let status = (0..100).map(|_| hm.feed(true)).find(|s| *s != HealthStatus::Ok);
 /// assert_eq!(status, Some(HealthStatus::RepetitionFailure));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthMonitor {
     rct_cutoff: u32,
     apt_window: u32,
@@ -131,6 +131,113 @@ impl HealthMonitor {
         HealthStatus::Ok
     }
 
+    /// Feeds a byte string, most significant bit of each byte first.
+    ///
+    /// Stops right after the first bit that trips a test and returns
+    /// that failure; returns `Ok` when every bit passed. Either way the
+    /// monitor ends in exactly the state the same bits fed one by one
+    /// through [`feed`](Self::feed) (the reference) would leave it in,
+    /// counters included.
+    ///
+    /// Works a `u64` word at a time: a word that provably trips nothing
+    /// and stays inside one APT window advances the state in a few
+    /// integer operations. Any other word — one that could trip, one a
+    /// window ends inside, every word when the RCT cutoff is 16 or less
+    /// — and the trailing bytes go through `feed` bit by bit.
+    pub fn feed_bytes(&mut self, bytes: &[u8]) -> HealthStatus {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in words.by_ref() {
+            let word = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+            if !self.try_feed_word(word) {
+                let status = self.feed_bits(word, 64);
+                if status != HealthStatus::Ok {
+                    return status;
+                }
+            }
+        }
+        for &byte in words.remainder() {
+            let status = self.feed_bits(u64::from(byte), 8);
+            if status != HealthStatus::Ok {
+                return status;
+            }
+        }
+        HealthStatus::Ok
+    }
+
+    /// The low `n` bits of `bits`, highest first, through [`feed`](Self::feed);
+    /// stops at the first failure.
+    fn feed_bits(&mut self, bits: u64, n: u32) -> HealthStatus {
+        for i in (0..n).rev() {
+            let status = self.feed((bits >> i) & 1 == 1);
+            if status != HealthStatus::Ok {
+                return status;
+            }
+        }
+        HealthStatus::Ok
+    }
+
+    /// Advances the monitor over the 64 bits of `word` (MSB first) at
+    /// once if no bit of it can trip either test and no APT window ends
+    /// before its last bit. Returns `false`, with the state untouched,
+    /// otherwise.
+    ///
+    /// RCT: with a cutoff above 16 and no run of 16 equal bits in the
+    /// word, only the leading run can trip, and only together with the
+    /// run carried in from earlier bits; the trailing run becomes the
+    /// carried run. APT: matches only grow within a window, so the
+    /// window cannot trip inside the word if the count after it — one
+    /// `count_ones` — stays below the cutoff.
+    fn try_feed_word(&mut self, word: u64) -> bool {
+        if self.rct_cutoff <= 16 || has_run_of_16(word) {
+            return false;
+        }
+        let first = word >> 63 == 1;
+        let leading = if first {
+            word.leading_ones()
+        } else {
+            word.leading_zeros()
+        };
+        let carried = if self.last == Some(first) {
+            self.run
+        } else {
+            0
+        };
+        if carried + leading >= self.rct_cutoff {
+            return false;
+        }
+
+        // A window that starts here takes the first bit as its
+        // reference and first match (not checked against the cutoff,
+        // as in `feed`), then counts matches among the other 63.
+        let (reference, matches, pos, span, counted) = if self.window_pos == 0 {
+            (first, 1, 1, 63, word & (u64::MAX >> 1))
+        } else {
+            (self.reference, self.matches, self.window_pos, 64, word)
+        };
+        let end = pos + span;
+        if end > self.apt_window {
+            return false;
+        }
+        let ones = counted.count_ones();
+        let matches = matches + if reference { ones } else { span - ones };
+        if matches >= self.apt_cutoff {
+            return false;
+        }
+
+        let last = word & 1 == 1;
+        self.last = Some(last);
+        self.run = if last {
+            word.trailing_ones()
+        } else {
+            word.trailing_zeros()
+        };
+        self.reference = reference;
+        self.matches = matches;
+        self.window_pos = if end == self.apt_window { 0 } else { end };
+        self.bits_seen += 64;
+        true
+    }
+
     /// Total bits observed.
     pub fn bits_seen(&self) -> u64 {
         self.bits_seen
@@ -146,6 +253,17 @@ impl Default for HealthMonitor {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Whether `word` holds 16 equal adjacent bits anywhere.
+fn has_run_of_16(word: u64) -> bool {
+    // Bit i of `same` is set when bits i and i + 1 agree (bit 63 has no
+    // upper neighbour); each step doubles the agreeing span.
+    let same = !(word ^ (word >> 1)) & (u64::MAX >> 1);
+    let span3 = same & (same >> 1);
+    let span5 = span3 & (span3 >> 2);
+    let span9 = span5 & (span5 >> 4);
+    span9 & (span9 >> 7) != 0
 }
 
 #[cfg(test)]

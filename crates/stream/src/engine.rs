@@ -25,11 +25,12 @@ const PLACEMENT_PITCH: u32 = 4;
 const POOL_SLACK: usize = 2;
 
 /// Measured single-core advantage of the sliced bank over one scalar
-/// worker: BENCH_6 recorded `kernel.speedup = 1.86x` on this class of
-/// host (one thread driving all lanes SIMD-style vs one thread per
-/// shard). The [`KernelKind::cost_model`] compares this constant
-/// against the parallelism scalar workers could actually harvest.
-const SLICED_SINGLE_CORE_ADVANTAGE: f64 = 1.8;
+/// worker: BENCH_10 recorded `kernel.speedup = 1.35x` (one thread
+/// driving 64 lanes SIMD-style vs the register-resident scalar kernel
+/// on one thread, AVX2, 2-CPU host). The [`KernelKind::cost_model`]
+/// compares this constant against the parallelism scalar workers could
+/// actually harvest.
+const SLICED_SINGLE_CORE_ADVANTAGE: f64 = 1.35;
 
 /// Which generation kernel the shard producers run on.
 ///
@@ -65,10 +66,10 @@ impl KernelKind {
     ///
     /// * one shard has no parallelism to harvest and no bank to
     ///   amortise → [`Scalar`](Self::Scalar);
-    /// * the sliced bank runs on **one** core at ~1.8x a single scalar
-    ///   worker (BENCH_6 `kernel.speedup`); N scalar workers can use up
+    /// * the sliced bank runs on **one** core at ~1.35x a single scalar
+    ///   worker (BENCH_10 `kernel.speedup`); N scalar workers can use up
     ///   to `min(shards, host_cpus)` cores at ~1.0x each. Sliced wins
-    ///   exactly when `1.8 ≥ min(shards, host_cpus)` — so a 1-CPU host
+    ///   exactly when `1.35 ≥ min(shards, host_cpus)` — so a 1-CPU host
     ///   keeps the sliced bank for multi-shard streams (threads cannot
     ///   buy anything there), while a genuinely multi-core host
     ///   switches to per-shard threads.

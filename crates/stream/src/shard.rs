@@ -283,15 +283,11 @@ impl ShardWorker {
     }
 }
 
-/// Feeds a chunk through the monitor; `false` as soon as any bit trips.
-/// Shared with the sliced bank worker so both kernels apply the exact
-/// same health gate to the exact same bit order.
+/// Feeds a chunk through the monitor, MSB first; `false` as soon as any
+/// bit trips. Shared with the sliced bank worker so both kernels apply
+/// the exact same health gate to the exact same bit order.
 pub(crate) fn chunk_is_healthy(monitor: &mut HealthMonitor, chunk: &[u8]) -> bool {
-    chunk.iter().all(|&byte| {
-        (0..8)
-            .rev()
-            .all(|i| monitor.feed((byte >> i) & 1 == 1) == HealthStatus::Ok)
-    })
+    monitor.feed_bytes(chunk) == HealthStatus::Ok
 }
 
 #[cfg(test)]
@@ -332,5 +328,57 @@ mod tests {
     fn stuck_chunk_trips() {
         let mut monitor = HealthConfig::default().monitor();
         assert!(!chunk_is_healthy(&mut monitor, &[0xFF; 16]));
+    }
+
+    /// The bit-serial gate: every bit through `feed`, MSB first, up to
+    /// the first failure.
+    fn serial_gate(monitor: &mut HealthMonitor, chunk: &[u8]) -> HealthStatus {
+        for &byte in chunk {
+            for i in (0..8).rev() {
+                let status = monitor.feed((byte >> i) & 1 == 1);
+                if status != HealthStatus::Ok {
+                    return status;
+                }
+            }
+        }
+        HealthStatus::Ok
+    }
+
+    /// Gates `chunk` both ways from fresh default monitors; both must
+    /// reject it at the same bit, and `serial_gate`'s status is returned.
+    fn gate_both_ways(chunk: &[u8]) -> (HealthStatus, HealthMonitor) {
+        let mut word = HealthConfig::default().monitor();
+        let mut serial = word.clone();
+        let status = serial_gate(&mut serial, chunk);
+        assert!(!chunk_is_healthy(&mut word, chunk));
+        assert_eq!(word, serial, "both gates stop on the same bit");
+        (status, word)
+    }
+
+    #[test]
+    fn stuck_at_chunk_trips_where_the_serial_gate_does() {
+        // A healthy 64 KiB chunk whose source sticks at 1 for 40 bits
+        // from bit 300_003 (mid-word) on.
+        let mut chunk = vec![0u8; 64 * 1024];
+        DhTrng::builder().seed(5).build().fill_bytes(&mut chunk);
+        for bit in 300_003..300_043 {
+            chunk[bit / 8] |= 0x80 >> (bit % 8);
+        }
+        let (status, monitor) = gate_both_ways(&chunk);
+        assert_eq!(status, HealthStatus::RepetitionFailure);
+        assert!(monitor.bits_seen() <= 300_003 + 32);
+    }
+
+    #[test]
+    fn biased_chunk_trips_where_the_serial_gate_does() {
+        // 75% ones: the OR of two independent healthy chunks.
+        let (mut chunk, mut other) = (vec![0u8; 64 * 1024], vec![0u8; 64 * 1024]);
+        DhTrng::builder().seed(6).build().fill_bytes(&mut chunk);
+        DhTrng::builder().seed(7).build().fill_bytes(&mut other);
+        for (a, b) in chunk.iter_mut().zip(&other) {
+            *a |= b;
+        }
+        let (status, _) = gate_both_ways(&chunk);
+        assert_eq!(status, HealthStatus::ProportionFailure);
     }
 }

@@ -6,14 +6,24 @@
 //! the assertion covers every thread — a worker that silently
 //! allocated per chunk (the pre-executor design) fails here. This is
 //! the test-side twin of the `allocation` metric in `BENCH_4.json`.
+//!
+//! Because the count is process-wide, the tests must not overlap: one
+//! test's setup would land in another's measured window. Each test body
+//! holds [`SERIAL`] from start to finish. The harness still does its
+//! own bookkeeping on its main thread when a test ends, just as the
+//! next one starts: the stream tests prime their pools for long enough
+//! to cover it, and the single-threaded adaptor test counts only its
+//! own thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dh_trng::prelude::*;
 
-/// `System`, plus a global count of allocation events (alloc,
-/// alloc_zeroed, and realloc all count; frees don't).
+/// `System`, plus a global and a per-thread count of allocation events
+/// (alloc, alloc_zeroed, and realloc all count; frees don't).
 ///
 /// Deliberately duplicated in `crates/bench/src/bin/bench_report.rs`
 /// (which reports the same invariant as the `BENCH_4.json` allocation
@@ -24,21 +34,36 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`ALLOCATIONS`]. Const-initialised
+    /// and drop-free, so reading it never allocates.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
 // SAFETY: delegates every operation verbatim to `System`; the counter
-// bump has no effect on the returned memory.
+// bumps have no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,8 +75,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Serialises the test bodies (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`] for the rest of the calling test; a test that
+/// panicked while holding it leaves nothing behind that matters here.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn raw_tier_steady_state_reads_do_not_allocate() {
+    let _serial = serial();
     let shards = 2;
     let queue_chunks = 4;
     let chunk = 4096usize;
@@ -101,6 +136,7 @@ fn raw_tier_steady_state_reads_do_not_allocate() {
 /// buffer), this test fails, not a benchmark.
 #[test]
 fn raw_tier_steady_state_reads_do_not_allocate_with_recorder_enabled() {
+    let _serial = serial();
     let shards = 2;
     let queue_chunks = 4;
     let chunk = 4096usize;
@@ -154,6 +190,7 @@ fn raw_tier_steady_state_reads_do_not_allocate_with_recorder_enabled() {
 /// `ConditionerSpec::build`, never on the read path.
 #[test]
 fn conditioned_tier_steady_state_reads_do_not_allocate() {
+    let _serial = serial();
     let mut tier = PipelineBuilder::new()
         .shards(2)
         .seed(0xB10C)
@@ -190,17 +227,20 @@ fn conditioned_tier_steady_state_reads_do_not_allocate() {
 /// must not allocate either.
 #[test]
 fn conditioned_adaptor_block_fill_does_not_allocate() {
+    let _serial = serial();
     let raw = DhTrng::builder().seed(77).build();
     let mut conditioned = Conditioned::new(raw, CrcWhitener::new(2));
     let mut buf = [0u8; 1024];
     for _ in 0..4 {
         conditioned.fill_bytes(&mut buf);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    // Everything here runs on this thread, so count only its own
+    // allocations.
+    let before = thread_allocations();
     for _ in 0..32 {
         conditioned.fill_bytes(&mut buf);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
