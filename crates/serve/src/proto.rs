@@ -283,6 +283,18 @@ impl Request {
     }
 }
 
+/// A `Data` payload holding only its header (opcode, then `offset`),
+/// with capacity for the `len` entropy bytes that follow it. The one
+/// place the `Data` layout is written: [`Response::encode`] appends the
+/// bytes it holds, and the service has the session write its bytes
+/// straight into the reserved tail.
+pub(crate) fn data_header(offset: u64, len: usize) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(9 + len);
+    payload.push(OP_DATA);
+    payload.extend_from_slice(&offset.to_le_bytes());
+    payload
+}
+
 impl Response {
     /// Serialises the response payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -294,9 +306,7 @@ impl Response {
                 payload
             }
             Self::Data { offset, bytes } => {
-                let mut payload = Vec::with_capacity(9 + bytes.len());
-                payload.push(OP_DATA);
-                payload.extend_from_slice(&offset.to_le_bytes());
+                let mut payload = data_header(*offset, bytes.len());
                 payload.extend_from_slice(bytes);
                 payload
             }

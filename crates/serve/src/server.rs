@@ -83,6 +83,10 @@ pub fn serve_tcp(service: Service, addr: impl ToSocketAddrs) -> io::Result<Serve
                 break;
             }
             let Ok(mut stream) = stream else { continue };
+            // `write_frame` sends the length prefix and the payload as
+            // two writes; with Nagle on, the payload would wait for the
+            // client's delayed ACK (~40 ms) on every response.
+            let _ = stream.set_nodelay(true);
             let service = service.clone();
             thread::spawn(move || {
                 let _ = drive_connection(&service, &mut stream);

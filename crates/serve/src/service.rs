@@ -25,7 +25,7 @@
 
 use dhtrng_stream::{EntropySource, Error, Session, SessionConfig, Tier};
 
-use crate::proto::{ErrorCode, ProtoError, Request, Response, StatReport};
+use crate::proto::{data_header, ErrorCode, ProtoError, Request, Response, StatReport};
 
 /// Daemon-side policy knobs, per [`Service`].
 #[derive(Debug, Clone, Copy)]
@@ -129,7 +129,10 @@ impl Connection {
     pub fn handle(&mut self, request: Request) -> Response {
         match request {
             Request::Hello { tier, quota } => self.hello(tier, quota),
-            Request::Read { n } => self.read(n),
+            Request::Read { n } => match self.read(n, |_, n| Vec::with_capacity(n)) {
+                Ok((offset, bytes)) => Response::Data { offset, bytes },
+                Err(error) => error,
+            },
             Request::Stat => Response::Stat(self.service.stat()),
         }
     }
@@ -138,8 +141,16 @@ impl Connection {
     /// returned bytes are the response payload (no length prefix).
     /// Undecodable payloads become an encoded `Malformed` error
     /// response — a broken client cannot crash or desync the daemon.
+    ///
+    /// A successful `Read` is answered from one buffer: the session
+    /// writes its bytes straight into the `Data` payload, after the
+    /// header, so the reply costs one allocation and no re-encoding.
     pub fn handle_frame(&mut self, payload: &[u8]) -> Vec<u8> {
         let response = match Request::decode(payload) {
+            Ok(Request::Read { n }) => match self.read(n, data_header) {
+                Ok((_, frame)) => return frame,
+                Err(error) => error,
+            },
             Ok(request) => self.handle(request),
             Err(error) => malformed(&error),
         };
@@ -176,29 +187,42 @@ impl Connection {
         Response::HelloOk { session: id }
     }
 
-    fn read(&mut self, n: u32) -> Response {
+    /// The one `Read` path, behind both [`handle`](Self::handle) and
+    /// [`handle_frame`](Self::handle_frame): checks the connection
+    /// state and the service cap, then has the session fill `n` bytes
+    /// appended to the buffer `prefix(offset, n)` returns. `offset` is
+    /// the session's delivered-byte offset of the first of them.
+    /// Returns that offset and the filled buffer, or the error
+    /// response.
+    fn read(
+        &mut self,
+        n: u32,
+        prefix: impl FnOnce(u64, usize) -> Vec<u8>,
+    ) -> Result<(u64, Vec<u8>), Response> {
         let Some(session) = self.session.as_mut() else {
-            return Response::Error {
+            return Err(Response::Error {
                 code: ErrorCode::Malformed,
                 retriable: false,
                 message: "Read before Hello: open a session first".into(),
-            };
+            });
         };
         if n > self.service.config.max_read {
-            return Response::Error {
+            return Err(Response::Error {
                 code: ErrorCode::Oversized,
                 retriable: false,
                 message: format!(
                     "read of {n} bytes exceeds the service cap of {} bytes",
                     self.service.config.max_read
                 ),
-            };
+            });
         }
         let offset = session.bytes_delivered();
-        let mut bytes = vec![0u8; n as usize];
-        match session.read(&mut bytes) {
-            Ok(()) => Response::Data { offset, bytes },
-            Err(error) => stream_error(&error),
+        let mut buf = prefix(offset, n as usize);
+        let start = buf.len();
+        buf.resize(start + n as usize, 0);
+        match session.read(&mut buf[start..]) {
+            Ok(()) => Ok((offset, buf)),
+            Err(error) => Err(stream_error(&error)),
         }
     }
 }

@@ -3,6 +3,7 @@
 //! loop, with concurrent out-of-process-style clients.
 
 use std::thread;
+use std::time::{Duration, Instant};
 
 use dhtrng_serve::{serve_tcp, Client, ClientError, ErrorCode, Service, ServiceConfig};
 use dhtrng_stream::{EntropySource, Tier};
@@ -99,6 +100,30 @@ fn daemon_enforces_quotas_and_read_caps_over_the_wire() {
     }
     // Rejections deliver nothing: the full 96-byte budget is intact.
     assert_eq!(client.read(96).expect("within quota").len(), 96);
+
+    handle.shutdown();
+}
+
+#[test]
+fn sequential_tcp_reads_are_not_held_back_by_nagle() {
+    let handle = serve_tcp(service(59), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect_tcp(handle.addr()).expect("connect");
+    client.hello(Tier::Drbg, None).expect("handshake");
+
+    // Every response leaves the daemon as two writes (length prefix,
+    // then payload). Should Nagle hold each payload back until the
+    // client's delayed ACK, a read costs ~40 ms and these 100 take 4 s
+    // or more; with TCP_NODELAY on the accepted stream they take
+    // milliseconds.
+    let start = Instant::now();
+    for _ in 0..100 {
+        assert_eq!(client.read(32).expect("read").len(), 32);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "100 sequential 32 B reads over loopback TCP took {elapsed:?}"
+    );
 
     handle.shutdown();
 }

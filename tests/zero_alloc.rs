@@ -6,14 +6,16 @@
 //! the assertion covers every thread — a worker that silently
 //! allocated per chunk (the pre-executor design) fails here. This is
 //! the test-side twin of the `allocation` metric in `BENCH_4.json`.
+//! The service's drbg `Read` frame is pinned too, at exactly one
+//! allocation: its reply.
 //!
 //! Because the count is process-wide, the tests must not overlap: one
 //! test's setup would land in another's measured window. Each test body
 //! holds [`SERIAL`] from start to finish. The harness still does its
 //! own bookkeeping on its main thread when a test ends, just as the
 //! next one starts: the stream tests prime their pools for long enough
-//! to cover it, and the single-threaded adaptor test counts only its
-//! own thread's allocations.
+//! to cover it, and the single-threaded adaptor and frame tests count
+//! only their own thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -247,4 +249,80 @@ fn conditioned_adaptor_block_fill_does_not_allocate() {
         "block-path fills must be allocation-free"
     );
     std::hint::black_box(&buf);
+}
+
+/// The service's `Read` frame allocates exactly once on the thread that
+/// handles it: the `Data` payload, which the session fills in place
+/// behind the header. Requests are encoded before the counted window
+/// and replies decoded after it, and the reseed interval outlasts the
+/// run, so no harvest lands in the window either.
+#[test]
+fn drbg_read_frames_allocate_only_their_reply() {
+    use dh_trng::serve::{Request, Response};
+
+    let _serial = serial();
+    let source = EntropySource::builder()
+        .shards(2)
+        .seed(0xF2A3E)
+        .chunk_bytes(4096)
+        .drbg_config(DrbgConfig {
+            reseed_interval_bits: 1 << 24,
+            ..DrbgConfig::default()
+        })
+        .build()
+        .expect("valid source");
+    let service = Service::new(source);
+    let mut connection = service.connect();
+    let hello = Request::Hello {
+        tier: Tier::Drbg,
+        quota: None,
+    };
+    assert!(matches!(
+        Response::decode(&connection.handle_frame(&hello.encode())),
+        Ok(Response::HelloOk { .. })
+    ));
+
+    // Key-sized reads, 32–64 B.
+    let frames: Vec<(u32, Vec<u8>)> = (0..128u32)
+        .map(|i| {
+            let n = 32 + (i * 7) % 33;
+            (n, Request::Read { n }.encode())
+        })
+        .collect();
+    let (warm_up, counted) = frames.split_at(64);
+    for (_, frame) in warm_up {
+        connection.handle_frame(frame);
+    }
+
+    let session = connection.session().expect("Hello opened a session");
+    let (reseeds, mut offset) = (session.reseeds(), session.bytes_delivered());
+    let mut replies = Vec::with_capacity(counted.len());
+    let before = thread_allocations();
+    for (_, frame) in counted {
+        replies.push(connection.handle_frame(frame));
+    }
+    let after = thread_allocations();
+
+    assert_eq!(
+        connection.session().map(Session::reseeds),
+        Some(reseeds),
+        "a reseed harvest landed in the counted window"
+    );
+    assert_eq!(
+        after - before,
+        counted.len() as u64,
+        "each Read frame must allocate only its reply \
+         ({} allocations over {} frames)",
+        after - before,
+        counted.len()
+    );
+    for ((n, _), reply) in counted.iter().zip(&replies) {
+        match Response::decode(reply) {
+            Ok(Response::Data { offset: at, bytes }) => {
+                assert_eq!((at, bytes.len()), (offset, *n as usize));
+                offset += u64::from(*n);
+            }
+            other => panic!("expected data, got {other:?}"),
+        }
+    }
 }
