@@ -2,7 +2,8 @@
 //! sharded [`EntropyStream`] at different shard counts, against the
 //! single-instance batched path it is built from, plus the three
 //! output tiers (`raw` / `conditioned` / `drbg`) of the SP 800-90C
-//! pipeline mounted on a 4-shard deployment.
+//! pipeline mounted on a 4-shard deployment: the raw tier reads the
+//! engine itself, the other two a sole session over a shared source.
 //!
 //! Wall-clock scaling across shards depends on available cores (the
 //! modeled hardware throughput always scales linearly — one sampling
@@ -14,7 +15,7 @@ use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use dhtrng_core::{DhTrng, Trng};
-use dhtrng_stream::{EntropyStream, PipelineBuilder, Tier};
+use dhtrng_stream::{EntropySource, EntropyStream, Tier};
 
 const READ_BYTES: usize = 1 << 18; // 256 KiB per iteration
 
@@ -65,20 +66,29 @@ fn pipeline_tier_benches(c: &mut Criterion) {
     // pays the compression ratio in wall-clock.
     const TIER_BYTES: usize = 1 << 16; // 64 KiB per iteration
     group.throughput(Throughput::Bytes(TIER_BYTES as u64));
-    for (tier, name) in [
-        (Tier::Raw, "raw"),
-        (Tier::Conditioned, "conditioned"),
-        (Tier::Drbg, "drbg"),
-    ] {
-        let mut stream = PipelineBuilder::new()
+    let mut buf = vec![0u8; TIER_BYTES];
+    let mut raw = EntropyStream::builder()
+        .shards(4)
+        .seed(1)
+        .chunk_bytes(64 * 1024)
+        .build();
+    group.bench_function(BenchmarkId::new("tier", "raw"), |b| {
+        b.iter(|| {
+            raw.read(&mut buf).expect("healthy stream");
+            black_box(buf[0])
+        })
+    });
+    for (tier, name) in [(Tier::Conditioned, "conditioned"), (Tier::Drbg, "drbg")] {
+        let mut session = EntropySource::builder()
             .shards(4)
             .seed(1)
             .chunk_bytes(64 * 1024)
-            .build(tier);
-        let mut buf = vec![0u8; TIER_BYTES];
+            .build()
+            .expect("valid source")
+            .session(tier);
         group.bench_function(BenchmarkId::new("tier", name), |b| {
             b.iter(|| {
-                stream.read(&mut buf).expect("healthy pipeline");
+                session.read(&mut buf).expect("healthy session");
                 black_box(buf[0])
             })
         });

@@ -31,16 +31,14 @@
 //!    delivery violations or the report aborts;
 //! 6. **kernel comparison** — 64 same-seeded generators evaluated by
 //!    the scalar batched `BlockKernel` (sequentially, the shard
-//!    worker's path) against the bit-sliced ×64 `SlicedKernel` bank
-//!    (identical bytes per lane), plus which kernel `Auto` resolves
-//!    to on this host and which SIMD backend the sliced kernel
-//!    selected at runtime;
+//!    worker's path) against the bit-sliced ×64 `SlicedKernel` library
+//!    bank (identical bytes per lane), plus which SIMD backend the
+//!    sliced kernel selected at runtime;
 //! 7. **multicore scaling + hand-off cost** — raw-tier wall-clock Mbps
-//!    at 1/2/4 shards for **both** kernels with `core_affinity(PerShard)`
-//!    engaged, the per-chunk cost of the lock-free SPSC ring hand-off
-//!    against the `std::sync::mpsc` channel it replaced, the hand-off
-//!    allocation count (must be 0), and the decision `KernelKind::Auto`'s
-//!    cost model takes on this host. `scaling.measured` is `true` only
+//!    at 1/2/4 shards with `core_affinity(PerShard)` engaged, the
+//!    per-chunk cost of the lock-free SPSC ring hand-off against the
+//!    `std::sync::mpsc` channel it replaced, and the hand-off
+//!    allocation count (must be 0). `scaling.measured` is `true` only
 //!    when `available_parallelism() > 1`: on a 1-CPU host the shard
 //!    workers time-share one core, so the Mbps columns are recorded but
 //!    are explicitly **not** a multicore scaling measurement;
@@ -74,6 +72,12 @@
 //! `match`, or a 20%+ drop in the batching speedup **fails the job**, while
 //! raw-Mbps and serve-latency drifts stay warnings — wall-clock
 //! throughput on shared runners is too noisy to gate on).
+//!
+//! Schema `/11` drops the engine-kernel keys `kernel.selected`,
+//! `scaling.sliced_mbps`, `scaling.per_shard_mbps.sliced`,
+//! `scaling.auto_kernel` and `scaling.auto_decision`: the engine runs
+//! one worker loop, so there is no kernel choice left to report. Every
+//! other key keeps its `/10` meaning.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,10 +90,7 @@ use dhtrng_core::conditioning::{
 use dhtrng_core::drbg::DrbgConfig;
 use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus, SlicedDhTrng, Trng};
 use dhtrng_serve::{loadgen, LoadConfig, Service};
-use dhtrng_stream::{
-    ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, KernelKind,
-    PipelineBuilder, Tier,
-};
+use dhtrng_stream::{ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, Tier};
 
 /// `System`, plus a global count of allocation events (alloc,
 /// alloc_zeroed, and realloc all count; frees don't). Active for the
@@ -145,24 +146,53 @@ fn time_mean_s<F: FnMut()>(mut routine: F, budget_s: f64) -> f64 {
     start.elapsed().as_secs_f64() / reps as f64
 }
 
-/// One pipeline tier over a 4-shard deployment: (simulated Mbps,
-/// modeled Mbps).
-fn measure_tier(tier: Tier, read_bytes: usize, budget_s: f64) -> (f64, f64) {
-    let mut stream = PipelineBuilder::new()
-        .shards(4)
-        .seed(1)
-        .chunk_bytes(64 * 1024)
-        .build(tier);
-    let modeled = stream.throughput_mbps();
+/// Simulated Mbps of `read` over `read_bytes`-sized buffers.
+fn read_mbps(mut read: impl FnMut(&mut [u8]), read_bytes: usize, budget_s: f64) -> f64 {
     let mut buf = vec![0u8; read_bytes];
     let seconds = time_mean_s(
         || {
-            stream.read(&mut buf).expect("healthy pipeline");
+            read(&mut buf);
             std::hint::black_box(buf[0]);
         },
         budget_s,
     );
-    (read_bytes as f64 * 8.0 / seconds / 1e6, modeled)
+    read_bytes as f64 * 8.0 / seconds / 1e6
+}
+
+/// One output tier over a 4-shard deployment: (simulated Mbps,
+/// modeled Mbps). The raw tier reads the engine itself; the
+/// conditioned and drbg tiers read a sole session over a shared source.
+fn measure_tier(tier: Tier, read_bytes: usize, budget_s: f64) -> (f64, f64) {
+    if tier == Tier::Raw {
+        let mut stream = EntropyStream::builder()
+            .shards(4)
+            .seed(1)
+            .chunk_bytes(64 * 1024)
+            .build();
+        let modeled = stream.throughput_mbps();
+        let read = |buf: &mut [u8]| stream.read(buf).expect("healthy stream");
+        return (read_mbps(read, read_bytes, budget_s), modeled);
+    }
+    let source = four_shard_source();
+    let modeled = if tier == Tier::Drbg {
+        source.drbg_mbps()
+    } else {
+        source.conditioned_mbps()
+    };
+    let mut session = source.session(tier);
+    let read = |buf: &mut [u8]| session.read(buf).expect("healthy session");
+    (read_mbps(read, read_bytes, budget_s), modeled)
+}
+
+/// The shared source every session-level measurement runs on: 4 shards,
+/// 64 KiB chunks, the stage defaults.
+fn four_shard_source() -> EntropySource {
+    EntropySource::builder()
+        .shards(4)
+        .seed(1)
+        .chunk_bytes(64 * 1024)
+        .build()
+        .expect("valid source")
 }
 
 /// Raw kernel throughput over `lanes` same-seeded generators, both
@@ -268,35 +298,20 @@ fn measure_telemetry_point(
     (seconds * 1e9, allocs)
 }
 
-/// Raw-tier wall-clock Mbps of one `EntropyStream` deployment with the
-/// kernel forced and `core_affinity(PerShard)` engaged (a no-op on
-/// 1-CPU hosts — `AffinityPolicy::core_for_worker` declines to pin).
+/// Raw-tier wall-clock Mbps of one `EntropyStream` deployment with
+/// `core_affinity(PerShard)` engaged (a no-op on 1-CPU hosts —
+/// `AffinityPolicy::core_for_worker` declines to pin).
 /// Returns `(mbps, affinity_pins)`.
-fn measure_scaling_point(
-    shards: usize,
-    kernel: KernelKind,
-    read_bytes: usize,
-    budget_s: f64,
-) -> (f64, u64) {
+fn measure_scaling_point(shards: usize, read_bytes: usize, budget_s: f64) -> (f64, u64) {
     let mut stream = EntropyStream::builder()
         .shards(shards)
         .seed(1)
         .chunk_bytes(64 * 1024)
-        .kernel(kernel)
         .core_affinity(AffinityPolicy::PerShard)
         .build();
-    let mut buf = vec![0u8; read_bytes];
-    let seconds = time_mean_s(
-        || {
-            stream.read(&mut buf).expect("healthy stream");
-            std::hint::black_box(buf[0]);
-        },
-        budget_s,
-    );
-    (
-        read_bytes as f64 * 8.0 / seconds / 1e6,
-        stream.affinity_pins(),
-    )
+    let read = |buf: &mut [u8]| stream.read(buf).expect("healthy stream");
+    let mbps = read_mbps(read, read_bytes, budget_s);
+    (mbps, stream.affinity_pins())
 }
 
 /// Per-chunk hand-off cost of the lock-free SPSC ring against the
@@ -482,20 +497,16 @@ fn measure_conditioning(raw_bytes: usize, budget_s: f64) -> Vec<ConditioningRow>
 /// staging, so this must be exactly 0 (tests/zero_alloc.rs pins the
 /// same invariant; CI fails the job on any non-zero value).
 fn measure_conditioned_allocs(reads: usize) -> f64 {
-    let mut stream = PipelineBuilder::new()
-        .shards(4)
-        .seed(1)
-        .chunk_bytes(64 * 1024)
-        .build(Tier::Conditioned);
+    let mut session = four_shard_source().session(Tier::Conditioned);
     let mut buf = vec![0u8; 64 * 1024];
     // Prime: the conditioned tier refills recycled buffers at the
     // compression ratio, so cycle enough reads to settle the pool.
     for _ in 0..48 {
-        stream.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy session");
     }
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..reads {
-        stream.read(&mut buf).expect("healthy pipeline");
+        session.read(&mut buf).expect("healthy session");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     std::hint::black_box(buf[0]);
@@ -569,13 +580,7 @@ fn measure_health(chunk_bytes: usize, budget_s: f64) -> HealthRow {
 /// exactly-once violation — a latency number from a dirty run would
 /// be meaningless.
 fn measure_serving(clients: usize, reads_per_client: usize) -> dhtrng_serve::LoadReport {
-    let source = EntropySource::builder()
-        .shards(4)
-        .seed(1)
-        .chunk_bytes(64 * 1024)
-        .build()
-        .expect("valid source");
-    let service = Service::new(source);
+    let service = Service::new(four_shard_source());
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -677,10 +682,7 @@ fn main() {
     let serve = measure_serving(serve_clients, serve_reads);
 
     // 6. Scalar vs bit-sliced block kernel at full lane width, plus
-    // what Auto resolves to here and which SIMD backend the sliced
-    // kernel picked. The selected kind is read off a real Auto-built
-    // stream so an env-var override (DHTRNG_KERNEL) shows up
-    // truthfully.
+    // which SIMD backend the sliced kernel picked.
     let kernel_lanes = dhtrng_core::MAX_LANES;
     let kernel_bytes_per_lane: usize = if quick { 1 << 12 } else { 1 << 15 };
     let (raw_mbps_scalar, raw_mbps_sliced) =
@@ -689,11 +691,6 @@ fn main() {
     // Same one-core aggregate basis: N per-bit generators time-sharing
     // the core produce per_bit_mbps total, so the ratio is direct.
     let kernel_speedup_vs_per_bit = raw_mbps_sliced / per_bit_mbps;
-    let selected_kernel = format!(
-        "{:?}",
-        EntropyStream::builder().shards(4).seed(1).build().kernel()
-    )
-    .to_lowercase();
     let simd_backend = SlicedDhTrng::new(vec![DhTrng::builder().seed(1).build()])
         .expect("one lane always fits")
         .backend_name();
@@ -753,16 +750,10 @@ fn main() {
     let scaling_bytes: usize = if quick { 1 << 16 } else { 1 << 20 };
     let shard_counts = [1usize, 2, 4];
     let mut scaling_scalar_mbps = Vec::new();
-    let mut scaling_sliced_mbps = Vec::new();
     let mut scaling_pins = 0u64;
     for shards in shard_counts {
-        let (mbps, pins) =
-            measure_scaling_point(shards, KernelKind::Scalar, scaling_bytes, budget_s);
+        let (mbps, pins) = measure_scaling_point(shards, scaling_bytes, budget_s);
         scaling_scalar_mbps.push(mbps);
-        scaling_pins += pins;
-        let (mbps, pins) =
-            measure_scaling_point(shards, KernelKind::Sliced, scaling_bytes, budget_s);
-        scaling_sliced_mbps.push(mbps);
         scaling_pins += pins;
     }
     let scalar_per_shard: Vec<f64> = shard_counts
@@ -770,30 +761,13 @@ fn main() {
         .zip(&scaling_scalar_mbps)
         .map(|(&n, &mbps)| mbps / n as f64)
         .collect();
-    let sliced_per_shard: Vec<f64> = shard_counts
-        .iter()
-        .zip(&scaling_sliced_mbps)
-        .map(|(&n, &mbps)| mbps / n as f64)
-        .collect();
     let scalar_scaling_at_2 = scaling_scalar_mbps[1] / scaling_scalar_mbps[0];
     let scalar_scaling_at_4 = scaling_scalar_mbps[2] / scaling_scalar_mbps[0];
     let (handoff_ring_ns, handoff_mpsc_ns, handoff_allocs) = measure_handoff(budget_s);
-    let auto_selected = format!("{:?}", KernelKind::cost_model(4, cpus)).to_lowercase();
-    let usable_cores = 4usize.min(cpus.max(1));
-    let auto_decision = format!(
-        "shards=4, host_cpus={cpus}: scalar threads get min(4, {cpus}) = {usable_cores} \
-         usable core(s); the sliced bank measured {kernel_speedup:.2}x one scalar worker on \
-         one core in this run ({cmp} {usable_cores}.00x); Auto resolves to {auto_selected}",
-        cmp = if kernel_speedup >= usable_cores as f64 {
-            ">="
-        } else {
-            "<"
-        },
-    );
 
     let json = format!(
         r#"{{
-  "schema": "dhtrng-bench-report/10",
+  "schema": "dhtrng-bench-report/11",
   "quick": {quick},
   "host_cpus": {cpus},
   "batching": {{
@@ -842,7 +816,6 @@ fn main() {
     "note": "concurrent drbg client sessions over one shared 4-shard source via the dhtrng-serve connection state machine (full wire round-trips, sockets elided). Latencies are per-64-byte-read, nearest-rank percentiles; the run aborts unless protocol errors and exactly-once delivery violations are both zero."
   }},
   "kernel": {{
-    "selected": "{selected_kernel}",
     "simd_backend": "{simd_backend}",
     "lanes": {kernel_lanes},
     "bytes_per_lane_per_iteration": {kernel_bytes_per_lane},
@@ -850,7 +823,7 @@ fn main() {
     "raw_mbps_sliced": {raw_mbps_sliced:.3},
     "speedup": {kernel_speedup:.3},
     "speedup_vs_per_bit": {kernel_speedup_vs_per_bit:.3},
-    "note": "aggregate one-core Mbps of 64 same-seeded generators: scalar = 64 sequential batched BlockKernel fill_bytes (the shard worker's path), sliced = one 64-lane SlicedKernel bank; identical bytes per lane, so the ratio is pure kernel speed. 'speedup' compares against the batched scalar kernel, which already autovectorizes across the 12-beat bank — that baseline caps bit-slicing's win well below the naive 64x (see DESIGN.md section 9); 'speedup_vs_per_bit' compares against the per-bit reference path (one next_bit per cycle, the pre-batching baseline the slicing motivation assumed). 'selected' is what KernelKind::Auto resolves to on this host and 'simd_backend' is the runtime-detected inner loop of the sliced kernel."
+    "note": "aggregate one-core Mbps of 64 same-seeded generators: scalar = 64 sequential batched BlockKernel fill_bytes (the shard worker's path), sliced = one 64-lane SlicedKernel bank; identical bytes per lane, so the ratio is pure kernel speed. 'speedup' compares against the batched scalar kernel, which already autovectorizes across the 12-beat bank — that baseline caps bit-slicing's win well below the naive 64x (see DESIGN.md section 9); 'speedup_vs_per_bit' compares against the per-bit reference path (one next_bit per cycle, the pre-batching baseline the slicing motivation assumed). 'simd_backend' is the runtime-detected inner loop of the sliced kernel."
   }},
   "scaling": {{
     "measured": {scaling_measured},
@@ -858,10 +831,8 @@ fn main() {
     "read_bytes_per_iteration": {scaling_bytes},
     "shard_counts": [1, 2, 4],
     "scalar_mbps": {scalar_mbps_arr},
-    "sliced_mbps": {sliced_mbps_arr},
     "per_shard_mbps": {{
-      "scalar": {scalar_per_shard_arr},
-      "sliced": {sliced_per_shard_arr}
+      "scalar": {scalar_per_shard_arr}
     }},
     "scalar_scaling_at_2": {scalar_scaling_at_2:.3},
     "scalar_scaling_at_4": {scalar_scaling_at_4:.3},
@@ -870,9 +841,7 @@ fn main() {
     "handoff_mpsc_ns_per_chunk": {handoff_mpsc_ns:.1},
     "handoff_speedup": {handoff_speedup:.3},
     "handoff_allocs_per_chunk": {handoff_allocs:.3},
-    "auto_kernel": "{auto_selected}",
-    "auto_decision": "{auto_decision}",
-    "note": "raw-tier wall-clock Mbps at 1/2/4 shards, both kernels forced, core_affinity(PerShard) engaged (a no-op when host_cpus=1, so affinity_pins is 0 there). measured=true only when available_parallelism()>1: on a 1-CPU host the shard workers time-share one core and these columns are NOT a multicore scaling measurement — scalar_scaling_at_2 is gated in CI only when measured=true. handoff_ns_per_chunk is half the cross-thread round-trip cost of the lock-free SPSC ring (one buffer ping-ponged to an echo thread over a data/return pair, the engine's worker->merger topology) vs the bounded mpsc channel it replaced, so it includes the backoff/park protocol both transports pay when the peer is not ready; handoff_allocs_per_chunk is heap allocations per ring hand-off under the counting allocator and must be exactly 0 (CI fails otherwise)."
+    "note": "raw-tier wall-clock Mbps at 1/2/4 shards, core_affinity(PerShard) engaged (a no-op when host_cpus=1, so affinity_pins is 0 there). measured=true only when available_parallelism()>1: on a 1-CPU host the shard workers time-share one core and these columns are NOT a multicore scaling measurement — scalar_scaling_at_2 is gated in CI only when measured=true. handoff_ns_per_chunk is half the cross-thread round-trip cost of the lock-free SPSC ring (one buffer ping-ponged to an echo thread over a data/return pair, the engine's worker->merger topology) vs the bounded mpsc channel it replaced, so it includes the backoff/park protocol both transports pay when the peer is not ready; handoff_allocs_per_chunk is heap allocations per ring hand-off under the counting allocator and must be exactly 0 (CI fails otherwise)."
   }},
   "conditioning": {{
     "raw_bytes_per_iteration": {conditioning_bytes},
@@ -939,7 +908,6 @@ fn main() {
         serve_protocol_errors = serve.protocol_errors,
         serve_delivery_violations = serve.delivery_violations,
         serve_elapsed = serve.elapsed_secs,
-        selected_kernel = selected_kernel,
         simd_backend = simd_backend,
         kernel_lanes = kernel_lanes,
         kernel_bytes_per_lane = kernel_bytes_per_lane,
@@ -950,9 +918,7 @@ fn main() {
         scaling_measured = scaling_measured,
         scaling_bytes = scaling_bytes,
         scalar_mbps_arr = mbps_array(&scaling_scalar_mbps),
-        sliced_mbps_arr = mbps_array(&scaling_sliced_mbps),
         scalar_per_shard_arr = mbps_array(&scalar_per_shard),
-        sliced_per_shard_arr = mbps_array(&sliced_per_shard),
         scalar_scaling_at_2 = scalar_scaling_at_2,
         scalar_scaling_at_4 = scalar_scaling_at_4,
         scaling_pins = scaling_pins,
@@ -960,8 +926,6 @@ fn main() {
         handoff_mpsc_ns = handoff_mpsc_ns,
         handoff_speedup = handoff_mpsc_ns / handoff_ring_ns,
         handoff_allocs = handoff_allocs,
-        auto_selected = auto_selected,
-        auto_decision = auto_decision,
         telemetry_off_ns = telemetry_off_ns,
         telemetry_on_ns = telemetry_on_ns,
         telemetry_overhead = telemetry_overhead,
@@ -975,7 +939,7 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
     eprintln!(
-        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {selected_kernel}/{simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate word {health_speedup:.1}x, match = {health_match})",
+        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate word {health_speedup:.1}x, match = {health_match})",
         clients = serve.clients,
         p50 = serve.p50_us,
         p99 = serve.p99_us,

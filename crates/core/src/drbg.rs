@@ -127,8 +127,8 @@ impl std::error::Error for ReseedRequired {}
 /// in [`BLOCK_BYTES`] blocks until the reseed interval is exhausted.
 ///
 /// The machine never touches an entropy source itself — callers hand it
-/// seed material (the [`Drbg`] adaptor and the stream pipeline's
-/// `DrbgPool` do the harvesting), which keeps the state machine
+/// seed material (the [`Drbg`] adaptor and the stream crate's drbg
+/// sessions do the harvesting), which keeps the state machine
 /// testable in isolation.
 #[derive(Debug, Clone)]
 pub struct HashDrbg {

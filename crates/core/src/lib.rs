@@ -55,7 +55,6 @@ pub mod drbg;
 pub mod health;
 pub mod kernel;
 pub mod model;
-pub mod postproc;
 pub mod slice;
 pub mod telemetry;
 pub mod trng;
@@ -70,7 +69,6 @@ pub use kernel::{BitBlock, BlockSource, ConditionerStage, Stage};
 pub use model::{
     eq3_xor_expectation, eq4_xor_expectation_n, eq5_randomness_coverage, RingCoverage,
 };
-pub use postproc::{LfsrWhitener, VonNeumann, XorDecimator};
 pub use slice::{Lane, SliceError, SlicedDhTrng, SlicedKernel, MAX_LANES};
 pub use telemetry::{
     MetricsHandle, NoopRecorder, Recorder, ShardSnapshot, Snapshot, StageEvent, TraceEvent, Tracer,

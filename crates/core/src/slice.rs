@@ -34,9 +34,12 @@
 //! from snapshot `l`: same `f64` operations on the same operands, same
 //! integer threshold tests, same per-lane draw schedule. The
 //! workspace-level `tests/slicing.rs` proptest pins this against
-//! [`DhTrng`] and against randomly-configured synthetic lanes; the
-//! streaming engine relies on it to make its sliced mode
-//! stream-identical to its scalar mode.
+//! [`DhTrng`] and against randomly-configured synthetic lanes.
+//!
+//! The streaming engine does not run this kernel: at the shard counts a
+//! deployment uses it is slower than one scalar worker thread per shard
+//! (`DESIGN.md` §9 has the measured sweep). It stays a benchmarked
+//! library kernel.
 //!
 //! # Runtime dispatch
 //!
@@ -250,8 +253,7 @@ fn detect_backend() -> Backend {
 ///
 /// All state is structure-of-arrays, padded to a `LANE_STRIDE` (= 4)
 /// multiple of lanes and preallocated at construction — steady-state
-/// generation performs no heap allocation (the streaming engine's
-/// zero-alloc pin covers the sliced path too).
+/// generation performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct SlicedKernel {
     lanes: usize,
@@ -364,8 +366,6 @@ impl SlicedKernel {
 
     /// (Re)loads lane `lane`'s full hot state from a snapshot: beat
     /// bank, probabilities, feedback strategy, noise-stream position.
-    /// The streaming engine uses this after a health-triggered restart
-    /// re-derives the lane's power-up state scalar-side.
     ///
     /// # Panics
     ///
@@ -758,9 +758,7 @@ fn mantissa_to_unit(x: u64) -> f64 {
 ///
 /// * **per-lane** — [`fill_lane_chunks`](Self::fill_lane_chunks)
 ///   produces each lane's own stream into its own buffer (bit-identical
-///   to the same-seeded scalar instance); the streaming engine's sliced
-///   mode maps shard `i` onto lane `i` through this, which is what
-///   keeps its merged stream identical to scalar mode;
+///   to the same-seeded scalar instance);
 /// * **single-stream** — the [`Trng`] implementation (and with it the
 ///   blanket [`BlockSource`](crate::kernel::BlockSource)) exposes the
 ///   bank as one source whose stream interleaves the lanes' 64-bit
@@ -769,10 +767,8 @@ fn mantissa_to_unit(x: u64) -> f64 {
 ///   each lane's scalar byte stream de-interleaved).
 ///
 /// The scalar instances stay owned by the bank as the **cold** side:
-/// configuration, placement, restart counters. Their generator state is
-/// only synchronised with the kernel at restart boundaries
-/// ([`restart_lane_and_refill`](Self::restart_lane_and_refill)); in
-/// between, the kernel's lane state is authoritative.
+/// configuration and placement. Their generator state is the snapshot
+/// the bank was built from; the kernel's lane state is authoritative.
 #[derive(Debug)]
 pub struct SlicedDhTrng {
     instances: Vec<DhTrng>,
@@ -812,23 +808,14 @@ impl SlicedDhTrng {
     }
 
     /// The cold side of lane `lane`: configuration, modeled throughput,
-    /// placement, restart count. Its *generator* state is only current
-    /// at restart boundaries (the kernel is authoritative in between).
+    /// placement. Its *generator* state is the snapshot the bank was
+    /// built from (the kernel is authoritative).
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn instance(&self, lane: usize) -> &DhTrng {
         &self.instances[lane]
-    }
-
-    /// Restarts performed by lane `lane` (see [`DhTrng::restarts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_restarts(&self, lane: usize) -> u64 {
-        self.instances[lane].restarts()
     }
 
     /// Name of the kernel's dispatched sweep (`"avx2"` / `"portable"`).
@@ -838,9 +825,9 @@ impl SlicedDhTrng {
 
     /// Advances every lane by one chunk, writing lane `i`'s next bytes
     /// into `chunks[i]` where present. Lanes with `None` advance
-    /// identically but discard their output (the engine passes `None`
-    /// for retired shards); because lanes are independent, a lane's
-    /// stream never depends on which other chunks were materialised.
+    /// identically but discard their output; because lanes are
+    /// independent, a lane's stream never depends on which other chunks
+    /// were materialised.
     ///
     /// # Panics
     ///
@@ -873,22 +860,6 @@ impl SlicedDhTrng {
                 }
             }
         }
-    }
-
-    /// Power-cycles lane `lane` (the paper's §4.2 restart, exactly
-    /// [`DhTrng::restart`]), regenerates its next chunk through the
-    /// scalar batched path, and reloads the lane's kernel state from
-    /// the advanced instance — so the lane continues bit-identical to a
-    /// scalar shard that restarted at the same point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn restart_lane_and_refill(&mut self, lane: usize, buf: &mut [u8]) {
-        let instance = &mut self.instances[lane];
-        instance.restart();
-        instance.fill_bytes(buf);
-        self.kernel.load_lane(lane, &instance.slice_lane());
     }
 
     /// Refills the interleave staging round for the single-stream face.
@@ -1254,39 +1225,5 @@ mod tests {
                 assert_eq!(chunk[..], expect[..], "lane {lane}, chunk 2");
             }
         }
-    }
-
-    #[test]
-    fn restart_and_refill_matches_a_restarted_scalar_instance() {
-        let mut bank = SlicedDhTrng::new(vec![
-            DhTrng::builder().seed(5).build(),
-            DhTrng::builder().seed(6).build(),
-        ])
-        .unwrap();
-        let mut chunks: Vec<Option<Vec<u8>>> = (0..2).map(|_| Some(vec![0u8; 64])).collect();
-        bank.fill_lane_chunks(&mut chunks);
-        // Power-cycle lane 0 and regenerate; lane 1 continues.
-        let mut regenerated = vec![0u8; 64];
-        bank.restart_lane_and_refill(0, &mut regenerated);
-        assert_eq!(bank.lane_restarts(0), 1);
-        bank.fill_lane_chunks(&mut chunks);
-
-        let mut scalar0 = DhTrng::builder().seed(5).build();
-        let mut expect = vec![0u8; 64];
-        scalar0.fill_bytes(&mut expect);
-        scalar0.restart();
-        scalar0.fill_bytes(&mut expect);
-        assert_eq!(regenerated, expect, "restarted chunk");
-        scalar0.fill_bytes(&mut expect);
-        assert_eq!(chunks[0].as_deref(), Some(&expect[..]), "post-restart");
-
-        let mut scalar1 = DhTrng::builder().seed(6).build();
-        scalar1.fill_bytes(&mut expect);
-        scalar1.fill_bytes(&mut expect);
-        assert_eq!(
-            chunks[1].as_deref(),
-            Some(&expect[..]),
-            "lane 1 undisturbed by lane 0's restart"
-        );
     }
 }

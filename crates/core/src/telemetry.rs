@@ -41,9 +41,8 @@ use std::time::Instant;
 /// Events are `Copy` and carry only scalars, so recording one never
 /// allocates. The producer-side events (`ChunkProduced`,
 /// `HealthVerdict`, `Restart`, `Retired`) are emitted by the shard
-/// workers — scalar threads and the sliced bank emit the **same
-/// per-shard sequence** for the same seeds, so a trace is
-/// kernel-agnostic once filtered by shard. The merge/session events
+/// workers; filtered by shard, a trace is one worker's deterministic
+/// life story for the given seeds. The merge/session events
 /// (`ChunkMerged`, `Rollback`, `ReseedGranted`, `ReseedStalled`) are
 /// emitted by the consumer side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,8 +384,8 @@ pub struct ShardSnapshot {
 /// Cloneable read handle over a stream's [`Telemetry`].
 ///
 /// Handed out by `EntropyStream::metrics()` / `EntropySource::
-/// metrics()` (and the tier shims above them); stays valid after the
-/// stream fails or is dropped — counters freeze at their final values.
+/// metrics()`; stays valid after the stream fails or is dropped —
+/// counters freeze at their final values.
 #[derive(Debug, Clone)]
 pub struct MetricsHandle {
     telemetry: Arc<Telemetry>,

@@ -22,8 +22,7 @@ pub enum AffinityPolicy {
     /// Let the OS scheduler place worker threads (the default).
     #[default]
     Disabled,
-    /// Pin worker `i` to core `i % host_cpus`; the sliced bank worker
-    /// (one thread driving all lanes) pins to core 0. Best-effort: on
+    /// Pin worker `i` to core `i % host_cpus`. Best-effort: on
     /// non-Linux hosts, on single-CPU hosts, or when the kernel
     /// refuses, the thread simply runs unpinned.
     PerShard,

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dhtrng_core::telemetry::{MetricsHandle, NoopRecorder, Recorder, Telemetry};
-use dhtrng_core::{DhTrng, DhTrngConfig, SlicedDhTrng};
+use dhtrng_core::{DhTrng, DhTrngConfig};
 use dhtrng_fpga::Placement;
 
 use crate::affinity::{self, AffinityPolicy};
@@ -13,7 +13,6 @@ use crate::error::{ConfigError, Error};
 use crate::exec::{Executor, ShardLink};
 use crate::ring;
 use crate::shard::{HealthConfig, ShardMessage, ShardWorker};
-use crate::sliced::{LaneLink, SlicedBankWorker};
 
 /// Horizontal slice pitch between neighbouring shard placement regions
 /// (the 8-slice core packs into a 3x3 bounding box; pitch 4 leaves a
@@ -23,81 +22,6 @@ const PLACEMENT_PITCH: u32 = 4;
 /// Pool buffers per shard beyond the queue depth: one being filled by
 /// the worker, one being drained by the consumer.
 const POOL_SLACK: usize = 2;
-
-/// Measured single-core advantage of the sliced bank over one scalar
-/// worker: BENCH_10 recorded `kernel.speedup = 1.35x` (one thread
-/// driving 64 lanes SIMD-style vs the register-resident scalar kernel
-/// on one thread, AVX2, 2-CPU host). The [`KernelKind::cost_model`]
-/// compares this constant against the parallelism scalar workers could
-/// actually harvest.
-const SLICED_SINGLE_CORE_ADVANTAGE: f64 = 1.35;
-
-/// Which generation kernel the shard producers run on.
-///
-/// Both kernels produce the **same merged stream** for the same
-/// configuration — the choice is purely a throughput/topology decision,
-/// and the CI kernel-matrix runs the full equivalence suites under each
-/// forced value to keep it that way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Resolve at build time: the `DHTRNG_KERNEL` environment variable
-    /// (`scalar` / `sliced` / `auto`) if set, otherwise the
-    /// [`cost_model`](Self::cost_model) over the shard count and the
-    /// host's available parallelism. The environment override is
-    /// only consulted from `Auto`, so explicit builder settings always
-    /// win (which is what lets the equivalence tests force one side
-    /// while CI forces the other globally).
-    #[default]
-    Auto,
-    /// One scalar [`DhTrng`] worker thread per shard (the pre-slicing
-    /// topology).
-    Scalar,
-    /// All shards as lanes of one bit-sliced [`SlicedDhTrng`] bank,
-    /// produced by a single worker thread (the SIMD-friendly topology;
-    /// see `DESIGN.md` §9).
-    Sliced,
-}
-
-impl KernelKind {
-    /// The kernel [`Auto`](Self::Auto) resolves to (absent a
-    /// `DHTRNG_KERNEL` override) for a given shard count on a host with
-    /// `host_cpus` usable CPUs — the first *measured* cost model,
-    /// replacing the old "≥ 2 shards → sliced" rule:
-    ///
-    /// * one shard has no parallelism to harvest and no bank to
-    ///   amortise → [`Scalar`](Self::Scalar);
-    /// * the sliced bank runs on **one** core at ~1.35x a single scalar
-    ///   worker (BENCH_10 `kernel.speedup`); N scalar workers can use up
-    ///   to `min(shards, host_cpus)` cores at ~1.0x each. Sliced wins
-    ///   exactly when `1.35 ≥ min(shards, host_cpus)` — so a 1-CPU host
-    ///   keeps the sliced bank for multi-shard streams (threads cannot
-    ///   buy anything there), while a genuinely multi-core host
-    ///   switches to per-shard threads.
-    ///
-    /// Pure and public so the bench report can log the decision it
-    /// predicts and tests can mirror it against the real host.
-    pub fn cost_model(shards: usize, host_cpus: usize) -> KernelKind {
-        if shards < 2 {
-            return KernelKind::Scalar;
-        }
-        let scalar_cores = shards.min(host_cpus.max(1));
-        if SLICED_SINGLE_CORE_ADVANTAGE >= scalar_cores as f64 {
-            KernelKind::Sliced
-        } else {
-            KernelKind::Scalar
-        }
-    }
-}
-
-/// **Deprecated alias** for the unified [`Error`] — retained so code
-/// written against the pre-ISSUE-6 per-tier error surface keeps
-/// compiling. New code should name [`crate::Error`] directly; the
-/// variants this alias used to own (`ShardFailed`, `ShardDisconnected`)
-/// live there now, next to the session-era failure modes
-/// (`QuotaExceeded`, `Backpressure`, `InvalidConfig`) and the
-/// [`is_retriable`](Error::is_retriable) classification the daemon's
-/// retry logic is built on.
-pub type StreamError = Error;
 
 /// Configures and builds an [`EntropyStream`].
 ///
@@ -115,7 +39,6 @@ pub struct EntropyStreamBuilder {
     health: HealthConfig,
     max_consecutive_restarts: u32,
     injected_failures: Vec<(usize, u64)>,
-    kernel: KernelKind,
     affinity: AffinityPolicy,
     recorder: Option<Arc<dyn Recorder>>,
 }
@@ -132,7 +55,6 @@ impl Default for EntropyStreamBuilder {
             health: HealthConfig::default(),
             max_consecutive_restarts: 16,
             injected_failures: Vec::new(),
-            kernel: KernelKind::Auto,
             affinity: AffinityPolicy::Disabled,
             recorder: None,
         }
@@ -219,15 +141,6 @@ impl EntropyStreamBuilder {
         self
     }
 
-    /// Which generation kernel drives the shards (default
-    /// [`KernelKind::Auto`]). Both kernels produce the same merged
-    /// stream; see [`KernelKind`] for the resolution rules.
-    #[must_use]
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// How worker threads are placed onto CPU cores (default
     /// [`AffinityPolicy::Disabled`]). Best-effort and purely a
     /// throughput knob: the merged stream is identical either way, and
@@ -258,26 +171,6 @@ impl EntropyStreamBuilder {
     /// schedule without building a stream.
     pub fn derive_shard_seed(seed: u64, index: u64) -> u64 {
         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(index)
-    }
-
-    /// The kernel [`spawn`](Self::spawn) will run with: the builder's
-    /// explicit setting, or — from [`KernelKind::Auto`] only — the
-    /// `DHTRNG_KERNEL` environment override, falling back to the
-    /// [`KernelKind::cost_model`] over the shard count and the host's
-    /// available parallelism.
-    fn resolved_kernel(&self) -> KernelKind {
-        let requested = match self.kernel {
-            KernelKind::Auto => match std::env::var("DHTRNG_KERNEL").ok().as_deref() {
-                Some("scalar") => KernelKind::Scalar,
-                Some("sliced") => KernelKind::Sliced,
-                _ => KernelKind::Auto,
-            },
-            explicit => explicit,
-        };
-        match requested {
-            KernelKind::Auto => KernelKind::cost_model(self.shards, affinity::host_cpus()),
-            explicit => explicit,
-        }
     }
 
     /// Checks the invariants [`build`](Self::build) would otherwise
@@ -350,12 +243,8 @@ impl EntropyStreamBuilder {
 
     /// The post-validation construction: derives the seed schedule,
     /// wires one SPSC ring pair per shard, pre-fills each buffer pool,
-    /// and spawns the producers of the resolved kernel — one scalar
-    /// worker thread per shard, or one sliced bank thread driving every
-    /// shard as a lane. The consumer-facing wiring (and therefore the
-    /// merged stream) is identical either way.
+    /// and spawns one worker thread per shard.
     fn spawn(self) -> EntropyStream {
-        let kernel = self.resolved_kernel();
         let host_cpus = affinity::host_cpus();
         let affinity_pins = Arc::new(AtomicU64::new(0));
         // One telemetry block per stream, shared by every stage: the
@@ -380,9 +269,6 @@ impl EntropyStreamBuilder {
         let mut restarts = Vec::with_capacity(self.shards);
         let mut placements = Vec::with_capacity(self.shards);
         let mut modeled_mbps = 0.0;
-        // Sliced mode accumulators: shard i becomes lane i of one bank.
-        let mut instances = Vec::new();
-        let mut lane_links = Vec::new();
         for (shard, &seed) in seeds.iter().enumerate() {
             let mut cfg = self.config.clone();
             cfg.seed = seed;
@@ -421,83 +307,42 @@ impl EntropyStreamBuilder {
                 .filter(|&&(s, _)| s == shard)
                 .map(|&(_, chunks)| chunks)
                 .min();
-            match kernel {
-                KernelKind::Sliced => {
-                    instances.push(trng);
-                    lane_links.push(LaneLink {
-                        tx,
-                        pool: pool_rx,
-                        restarts: counter,
-                        fail_after_chunks,
-                    });
-                }
-                _ => {
-                    let worker = ShardWorker {
-                        shard,
-                        trng,
-                        health: self.health,
-                        chunk_bytes: self.chunk_bytes,
-                        max_consecutive_restarts: self.max_consecutive_restarts,
-                        restarts: counter,
-                        pool: pool_rx,
-                        fail_after_chunks,
-                        telemetry: Arc::clone(&telemetry),
-                    };
-                    let pin = self.affinity.core_for_worker(shard, host_cpus);
-                    let pins = Arc::clone(&affinity_pins);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("dhtrng-shard-{shard}"))
-                        .spawn(move || {
-                            if let Some(cpu) = pin {
-                                if affinity::pin_current_thread(cpu) {
-                                    pins.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            worker.run(tx)
-                        })
-                        .expect("spawn shard worker thread");
-                    workers.push(handle);
-                }
-            }
-            links.push(ShardLink {
-                data: rx,
-                pool: pool_tx,
-            });
-        }
-        if kernel == KernelKind::Sliced {
-            let worker = SlicedBankWorker {
-                bank: SlicedDhTrng::new(instances)
-                    .expect("validated shard count fits the lane capacity"),
+            let worker = ShardWorker {
+                shard,
+                trng,
                 health: self.health,
                 chunk_bytes: self.chunk_bytes,
                 max_consecutive_restarts: self.max_consecutive_restarts,
-                lanes: lane_links,
+                restarts: counter,
+                pool: pool_rx,
+                fail_after_chunks,
                 telemetry: Arc::clone(&telemetry),
             };
-            // The bank is one thread driving every lane: worker index 0.
-            let pin = self.affinity.core_for_worker(0, host_cpus);
+            let pin = self.affinity.core_for_worker(shard, host_cpus);
             let pins = Arc::clone(&affinity_pins);
             let handle = std::thread::Builder::new()
-                .name("dhtrng-sliced-bank".to_string())
+                .name(format!("dhtrng-shard-{shard}"))
                 .spawn(move || {
                     if let Some(cpu) = pin {
                         if affinity::pin_current_thread(cpu) {
                             pins.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    worker.run()
+                    worker.run(tx)
                 })
-                .expect("spawn sliced bank worker thread");
+                .expect("spawn shard worker thread");
             workers.push(handle);
+            links.push(ShardLink {
+                data: rx,
+                pool: pool_tx,
+            });
         }
-
         EntropyStream {
             exec: Executor::new(links, workers, self.shards * buffers_per_shard, telemetry),
             restarts,
             placements,
             modeled_mbps,
             chunk_bytes: self.chunk_bytes,
-            kernel,
             affinity_pins,
         }
     }
@@ -536,7 +381,6 @@ pub struct EntropyStream {
     placements: Vec<Placement>,
     modeled_mbps: f64,
     chunk_bytes: usize,
-    kernel: KernelKind,
     affinity_pins: Arc<AtomicU64>,
 }
 
@@ -562,8 +406,8 @@ impl EntropyStream {
     /// failure is deterministic in the seed schedule and the failing
     /// shard's chunk count, never in thread timing. The raw tier does
     /// not roll back the bytes a failing call already wrote into `out`
-    /// ([`ConditionedStream`](crate::pipeline::ConditionedStream) adds
-    /// that contract at the conditioned tier).
+    /// (a conditioned [`Session`](crate::api::Session) adds that
+    /// contract at the conditioned tier).
     ///
     /// # Errors
     ///
@@ -598,13 +442,6 @@ impl EntropyStream {
     /// Chunk size (the merge granularity) in bytes.
     pub fn chunk_bytes(&self) -> usize {
         self.chunk_bytes
-    }
-
-    /// The generation kernel this stream resolved to at build time —
-    /// never [`KernelKind::Auto`]; the resolution rules live on
-    /// [`KernelKind`].
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Worker threads whose core pin actually took effect (affinity is
@@ -888,68 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn sliced_and_scalar_kernels_produce_the_same_merged_stream() {
-        let make = |kernel: KernelKind| {
-            EntropyStream::builder()
-                .shards(3)
-                .seed(21)
-                .chunk_bytes(512)
-                .kernel(kernel)
-                .build()
-        };
-        let mut scalar = make(KernelKind::Scalar);
-        let mut sliced = make(KernelKind::Sliced);
-        assert_eq!(scalar.kernel(), KernelKind::Scalar);
-        assert_eq!(sliced.kernel(), KernelKind::Sliced);
-        let mut buf_scalar = vec![0u8; 512 * 9];
-        let mut buf_sliced = vec![0u8; 512 * 9];
-        scalar.read(&mut buf_scalar).unwrap();
-        sliced.read(&mut buf_sliced).unwrap();
-        assert_eq!(buf_scalar, buf_sliced);
-        assert_eq!(sliced.pool_buffers(), scalar.pool_buffers());
-    }
-
-    #[test]
-    fn auto_kernel_resolution_honours_env_then_cost_model() {
-        // Explicit settings always win, regardless of environment.
-        let explicit = EntropyStream::builder()
-            .shards(4)
-            .chunk_bytes(64)
-            .kernel(KernelKind::Scalar)
-            .build();
-        assert_eq!(explicit.kernel(), KernelKind::Scalar);
-        // Auto defers to DHTRNG_KERNEL (the CI kernel-matrix forces it),
-        // then to the cost model over the real host parallelism.
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let expected = |shards: usize| match std::env::var("DHTRNG_KERNEL").as_deref() {
-            Ok("scalar") => KernelKind::Scalar,
-            Ok("sliced") => KernelKind::Sliced,
-            _ => KernelKind::cost_model(shards, cpus),
-        };
-        let auto_one = EntropyStream::builder().shards(1).chunk_bytes(64).build();
-        assert_eq!(auto_one.kernel(), expected(1));
-        let auto_four = EntropyStream::builder().shards(4).chunk_bytes(64).build();
-        assert_eq!(auto_four.kernel(), expected(4));
-    }
-
-    #[test]
-    fn cost_model_prefers_threads_only_when_cores_beat_the_bank() {
-        // One shard: nothing to slice, nothing to parallelise.
-        assert_eq!(KernelKind::cost_model(1, 1), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(1, 16), KernelKind::Scalar);
-        // A 1-CPU host cannot harvest thread parallelism: the bank's
-        // measured ~1.8x single-core advantage stands.
-        assert_eq!(KernelKind::cost_model(2, 1), KernelKind::Sliced);
-        assert_eq!(KernelKind::cost_model(8, 1), KernelKind::Sliced);
-        assert_eq!(KernelKind::cost_model(4, 0), KernelKind::Sliced);
-        // Two or more usable cores beat the 1.8x bank.
-        assert_eq!(KernelKind::cost_model(2, 2), KernelKind::Scalar);
-        assert_eq!(KernelKind::cost_model(4, 4), KernelKind::Scalar);
-        // Shards bound the harvestable cores, not the host.
-        assert_eq!(KernelKind::cost_model(2, 16), KernelKind::Scalar);
-    }
-
-    #[test]
     fn shard_seed_derivation_is_a_pure_function_of_the_index() {
         // The blind spot this pins: seeds must never depend on the
         // order shards are set up in, only on (master seed, index).
@@ -1007,69 +782,6 @@ mod tests {
         // 1-CPU or sandboxed hosts, never more than one per worker).
         assert_eq!(unpinned.affinity_pins(), 0);
         assert!(pinned.affinity_pins() <= 2);
-    }
-
-    #[test]
-    fn sliced_impossible_health_cutoffs_fail_the_stream_gracefully() {
-        // The sliced bank must surface the exact failure a scalar worker
-        // would: shard 0's slot, the full restart budget burned.
-        let mut stream = EntropyStream::builder()
-            .shards(2)
-            .seed(1)
-            .chunk_bytes(256)
-            .health(HealthConfig {
-                rct_cutoff: 2,
-                apt_window: 64,
-                apt_cutoff: 64,
-            })
-            .max_consecutive_restarts(3)
-            .kernel(KernelKind::Sliced)
-            .build();
-        let mut buf = vec![0u8; 1024];
-        let err = stream.read(&mut buf).unwrap_err();
-        assert_eq!(
-            err,
-            Error::ShardFailed {
-                shard: 0,
-                consecutive_restarts: 3
-            }
-        );
-        assert_eq!(stream.read(&mut buf).unwrap_err(), err);
-        assert!(stream.restarts() >= 3);
-        assert!(stream.shard_restarts(0) >= 3);
-    }
-
-    #[test]
-    fn sliced_injected_failure_matches_the_scalar_prefix() {
-        // Same deterministic retirement contract as the scalar path:
-        // rounds 0..3 in full, shard 0's chunk of round 3, then the
-        // error at shard 1's slot — and the prefix is the same bytes.
-        let mut stream = EntropyStream::builder()
-            .shards(2)
-            .seed(4)
-            .chunk_bytes(256)
-            .inject_shard_failure(1, 3)
-            .kernel(KernelKind::Sliced)
-            .build();
-        let mut buf = vec![0u8; 7 * 256];
-        stream.read(&mut buf).expect("prefix is healthy");
-        let err = stream.read(&mut [0u8; 1]).unwrap_err();
-        assert_eq!(
-            err,
-            Error::ShardFailed {
-                shard: 1,
-                consecutive_restarts: 0
-            }
-        );
-        let mut healthy = EntropyStream::builder()
-            .shards(2)
-            .seed(4)
-            .chunk_bytes(256)
-            .kernel(KernelKind::Scalar)
-            .build();
-        let mut expect = vec![0u8; 7 * 256];
-        healthy.read(&mut expect).unwrap();
-        assert_eq!(buf, expect);
     }
 
     #[test]

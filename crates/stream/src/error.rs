@@ -1,12 +1,11 @@
 //! The unified error surface of the streaming stack.
 //!
-//! Before ISSUE 6 every tier re-exported the engine's two-variant
-//! `StreamError`, and each new failure mode (quotas, backpressure,
-//! untrusted configuration) would have grown its own ad-hoc error type
-//! somewhere in the stack. The daemon front-end (`dhtrng-serve`) forced
-//! the collapse: its retry and degradation logic needs **one** error
-//! vocabulary with a machine-checkable
-//! [retriability classification](Error::is_retriable), not a per-tier
+//! Every layer — shard workers, the merge, sessions, and the daemon's
+//! session arbitration — reports failures as one [`Error`]; a retiring
+//! shard's obituary travels down its ring already in this type. The
+//! daemon front-end (`dhtrng-serve`) is why: its retry and degradation
+//! logic needs **one** error vocabulary with a machine-checkable
+//! [retriability classification](Error::is_retriable), not a per-layer
 //! zoo of variants to match on.
 //!
 //! [`Error`] is `#[non_exhaustive]`: downstream matches must carry a
@@ -23,9 +22,9 @@ use std::fmt;
 ///
 /// Server configuration arrives from untrusted input (a config file, a
 /// peer's `Hello`), so the validating paths return this typed error
-/// instead of panicking the daemon; the legacy in-process builders
-/// (`EntropyStreamBuilder::build`, `PipelineBuilder::build_*`) keep
-/// their documented panics for programmer errors.
+/// instead of panicking the daemon; the in-process
+/// [`EntropyStreamBuilder::build`](crate::engine::EntropyStreamBuilder::build)
+/// keeps its documented panics for programmer errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {

@@ -154,10 +154,7 @@ impl Executor {
                 self.cursor = (self.cursor + 1) % self.links.len();
                 Ok(())
             }
-            Ok(Err(failure)) => Err(Error::ShardFailed {
-                shard: failure.shard,
-                consecutive_restarts: failure.consecutive_restarts,
-            }),
+            Ok(Err(error)) => Err(error),
             Err(_) => Err(Error::ShardDisconnected { shard }),
         }
     }
@@ -231,10 +228,7 @@ impl Executor {
                 return Ok(true);
             }
             Err(TryPopError::Empty) => return Ok(false),
-            Ok(Err(failure)) => Error::ShardFailed {
-                shard: failure.shard,
-                consecutive_restarts: failure.consecutive_restarts,
-            },
+            Ok(Err(error)) => error,
             Err(TryPopError::Disconnected) => Error::ShardDisconnected { shard },
         };
         // Latch: this path may consume the shard's one obituary message,

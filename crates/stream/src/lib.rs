@@ -24,7 +24,7 @@
 //!   continuous health tests over its output; a failing chunk is
 //!   discarded and the shard restarts (the paper's §4.2 power-cycle)
 //!   without disturbing the other shards, and a shard that cannot
-//!   recover retires with a typed [`StreamError`] that surfaces
+//!   recover retires with a typed [`Error`] that surfaces
 //!   deterministically at its round-robin slot (see
 //!   [`EntropyStream::read`]).
 //!
@@ -40,12 +40,9 @@
 //! [`BitBlock`](dhtrng_core::kernel::BitBlock)s, via
 //! [`EntropyStream::with_next_chunk`]) and each session's DRBG pumps
 //! blocks out of borrowed state — no layer re-buffers the one below it
-//! (`DESIGN.md` §7–8). The legacy single-consumer [`pipeline`]
-//! (`RawStream → ConditionedStream → DrbgPool` behind one
-//! [`PipelineBuilder`]) survives as bit-identical sole-session shims.
-//! The `dh_trng` facade wraps [`EntropyStream`] and [`TierStream`] in
-//! `rand`-compatible adapters (`StreamRng` / `PipelineRng`) for the
-//! `rand` ecosystem.
+//! (`DESIGN.md` §7–8). The `dh_trng` facade wraps [`EntropyStream`] and
+//! [`Session`] in `rand`-compatible adapters (`StreamRng` /
+//! `SessionRng`) for the `rand` ecosystem.
 //!
 //! # Example
 //!
@@ -59,19 +56,22 @@
 //! assert!(stream.throughput_mbps() > 2000.0); // 4 x ~620 Mbps modeled
 //! ```
 //!
-//! The same deployment behind the full pipeline, at the `drbg` tier:
+//! The same deployment behind the full source → health → conditioner →
+//! DRBG chain, as one session at the `drbg` tier:
 //!
 //! ```
-//! use dhtrng_stream::{PipelineBuilder, Tier};
+//! use dhtrng_stream::{EntropySource, Tier};
 //!
-//! let mut pool = PipelineBuilder::new()
+//! let source = EntropySource::builder()
 //!     .shards(2)
 //!     .seed(1)
 //!     .chunk_bytes(2048)
-//!     .build(Tier::Drbg);
+//!     .build()
+//!     .expect("valid configuration");
+//! let mut session = source.session(Tier::Drbg);
 //! let mut key = [0u8; 64];
-//! pool.read(&mut key).expect("shards healthy");
-//! assert_eq!(pool.tier(), Tier::Drbg);
+//! session.read(&mut key).expect("shards healthy");
+//! assert_eq!(session.tier(), Tier::Drbg);
 //! ```
 
 #![deny(missing_docs)]
@@ -87,23 +87,18 @@ mod arbiter;
 pub mod engine;
 pub mod error;
 mod exec;
-pub mod pipeline;
 pub mod ring;
 pub mod shard;
-mod sliced;
 mod wake;
 
 pub use affinity::AffinityPolicy;
 pub use api::{
-    EntropySource, Session, SessionConfig, SourceBuilder, SourceStats, DEFAULT_RESEED_CREDITS,
+    ConditionerSpec, EntropySource, Session, SessionConfig, SourceBuilder, SourceStats, Tier,
+    DEFAULT_RESEED_CREDITS,
 };
-pub use engine::{EntropyStream, EntropyStreamBuilder, KernelKind, StreamError};
+pub use engine::{EntropyStream, EntropyStreamBuilder};
 pub use error::{ConfigError, Error};
-pub use pipeline::{
-    ConditionedStream, ConditionerSpec, DrbgPool, PipelineBuilder, RawStream, SeedFlow, Tier,
-    TierStream,
-};
-pub use shard::{HealthConfig, HealthConfigBuilder, ShardFailure};
+pub use shard::{HealthConfig, HealthConfigBuilder};
 
 // The observability vocabulary (defined in `dhtrng-core::telemetry`,
 // wired through every stage here) re-exported so stream users reach it

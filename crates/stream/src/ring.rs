@@ -29,7 +29,7 @@
 //! the producer one uncontended load per push to leave parked.
 //!
 //! Shard retirement stays **in-band**: the engine's rings carry
-//! [`ShardMessage`](crate::shard::ShardFailure)-shaped `Result`s, so a
+//! `Result<Vec<u8>, `[`Error`](crate::Error)`>` messages, so a
 //! retiring shard's obituary occupies a tagged slot in its queue
 //! position and surfaces exactly at the retired shard's round-robin
 //! turn — the merged-prefix contract is unchanged from the channel

@@ -12,7 +12,8 @@
 //! and the chunk is regenerated — the consumer never sees unhealthy
 //! bytes and never sees a gap. A shard that cannot produce a healthy
 //! chunk within the configured number of consecutive restarts reports
-//! a [`ShardFailure`] and retires instead of flooding restarts forever.
+//! [`Error::ShardFailed`] and retires instead of flooding restarts
+//! forever.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use dhtrng_core::kernel::{BitBlock, BlockSource};
 use dhtrng_core::telemetry::Telemetry;
 use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus};
 
-use crate::error::ConfigError;
+use crate::error::{ConfigError, Error};
 use crate::ring::{Consumer, Producer};
 
 /// Cutoffs for the per-shard continuous health tests.
@@ -164,24 +165,11 @@ impl HealthConfigBuilder {
     }
 }
 
-/// Terminal failure of one shard: the entropy source kept tripping the
-/// health tests through the allowed consecutive restarts (or an
-/// injected retirement fired — see
-/// [`EntropyStreamBuilder::inject_shard_failure`](crate::engine::EntropyStreamBuilder::inject_shard_failure)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// Index of the failed shard.
-    pub shard: usize,
-    /// Consecutive restart attempts consumed before giving up (0 for an
-    /// injected retirement).
-    pub consecutive_restarts: u32,
-}
-
 /// What a shard sends down its data ring: a healthy chunk (in a pool
 /// buffer the consumer must eventually return), or its own obituary —
 /// the in-band retirement tag that keeps the error in the shard's
 /// round-robin queue position.
-pub(crate) type ShardMessage = Result<Vec<u8>, ShardFailure>;
+pub(crate) type ShardMessage = Result<Vec<u8>, Error>;
 
 /// The state a shard worker thread runs with.
 pub(crate) struct ShardWorker {
@@ -211,7 +199,7 @@ impl ShardWorker {
                 // Injected retirement: deterministic in the chunk count,
                 // independent of thread timing.
                 self.telemetry.retired(self.shard, 0);
-                let _ = tx.push(Err(ShardFailure {
+                let _ = tx.push(Err(Error::ShardFailed {
                     shard: self.shard,
                     consecutive_restarts: 0,
                 }));
@@ -234,8 +222,6 @@ impl ShardWorker {
                     healthy_sent += 1;
                 }
                 Err(failure) => {
-                    self.telemetry
-                        .retired(self.shard, u64::from(failure.consecutive_restarts));
                     // Best effort: the consumer may already be gone.
                     let _ = tx.push(Err(failure));
                     return;
@@ -246,12 +232,12 @@ impl ShardWorker {
 
     /// Regenerates `buffer` in place (restarting the instance on health
     /// failure) until its contents pass, or the restart budget is
-    /// exhausted.
+    /// exhausted and the shard retires.
     fn next_healthy_chunk_into(
         &mut self,
         monitor: &mut HealthMonitor,
         buffer: &mut [u8],
-    ) -> Result<(), ShardFailure> {
+    ) -> Result<(), Error> {
         let mut restarts_performed = 0u32;
         loop {
             let mut block = BitBlock::empty(buffer);
@@ -265,7 +251,9 @@ impl ShardWorker {
             // the next attempt); whether another power-cycle is worth it
             // depends on the remaining budget.
             if restarts_performed >= self.max_consecutive_restarts {
-                return Err(ShardFailure {
+                self.telemetry
+                    .retired(self.shard, u64::from(restarts_performed));
+                return Err(Error::ShardFailed {
                     shard: self.shard,
                     consecutive_restarts: restarts_performed,
                 });
@@ -284,8 +272,7 @@ impl ShardWorker {
 }
 
 /// Feeds a chunk through the monitor, MSB first; `false` as soon as any
-/// bit trips. Shared with the sliced bank worker so both kernels apply
-/// the exact same health gate to the exact same bit order.
+/// bit trips.
 pub(crate) fn chunk_is_healthy(monitor: &mut HealthMonitor, chunk: &[u8]) -> bool {
     monitor.feed_bytes(chunk) == HealthStatus::Ok
 }

@@ -6,9 +6,11 @@
 //! and without the three classic post-processing stages, and prints the
 //! quality/throughput ledger.
 //!
-//! Run with: `cargo run --release --example postprocessing_tradeoff`
+//! Each corrector is a conditioning machine mounted on the source with
+//! the core `Conditioned` adaptor, whose ledgers measure the rate cost.
+//!
+//! Run with: `cargo run --release --example conditioning_tradeoff`
 
-use dh_trng::core::{LfsrWhitener, VonNeumann, XorDecimator};
 use dh_trng::prelude::*;
 
 const BITS: usize = 1 << 19;
@@ -42,23 +44,23 @@ fn main() {
         "weak source, raw", "1.00x"
     );
 
-    let mut vn = VonNeumann::new(weak());
+    let mut vn = Conditioned::new(weak(), VonNeumannConditioner::new());
     let (h, b) = assess(&mut vn, BITS / 4);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "weak + Von Neumann",
-        1.0 / vn.cost()
+        1.0 / vn.measured_ratio()
     );
 
-    let mut x8 = XorDecimator::new(weak(), 8);
+    let mut x8 = Conditioned::new(weak(), XorFold::new(8));
     let (h, b) = assess(&mut x8, BITS / 8);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "weak + XOR-8 decimation",
-        1.0 / f64::from(x8.factor())
+        1.0 / f64::from(x8.conditioner().factor())
     );
 
-    let mut lfsr = LfsrWhitener::new(weak());
+    let mut lfsr = Conditioned::new(weak(), LfsrConditioner::new());
     let (h, b) = assess(&mut lfsr, BITS);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>14}",
@@ -70,12 +72,12 @@ fn main() {
     let (h, b) = assess(&mut dh(), BITS);
     println!("{:<38} {h:>8.4} {b:>9.4} {:>14}", "DH-TRNG, raw", "1.00x");
 
-    let mut vn = VonNeumann::new(dh());
+    let mut vn = Conditioned::new(dh(), VonNeumannConditioner::new());
     let (h, b) = assess(&mut vn, BITS / 4);
     println!(
         "{:<38} {h:>8.4} {b:>9.4} {:>13.2}x",
         "DH-TRNG + Von Neumann",
-        1.0 / vn.cost()
+        1.0 / vn.measured_ratio()
     );
 
     println!(

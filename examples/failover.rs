@@ -5,8 +5,8 @@
 //! after exactly two chunks — so the drill reproduces bit-for-bit:
 //! the engine's retirement contract guarantees every chunk merged
 //! before the failed shard's round-robin slot is still delivered into
-//! the caller's buffer, and the typed `StreamError::ShardFailed`
-//! surfaces at any pipeline tier (here: the DRBG tier a key-serving
+//! the caller's buffer, and the typed `Error::ShardFailed` surfaces at
+//! any tier (here: a fail-closed drbg session, the tier a key-serving
 //! service would expose).
 //!
 //! The drill also captures the retirement through the telemetry layer:
@@ -52,7 +52,7 @@ fn main() {
         doomed.bytes_delivered() as usize / CHUNK,
     );
     assert_eq!(doomed.bytes_delivered(), 7 * CHUNK as u64);
-    assert!(matches!(err, StreamError::ShardFailed { shard: 1, .. }));
+    assert!(matches!(err, Error::ShardFailed { shard: 1, .. }));
 
     // Dump the captured retirement as a Chrome/Perfetto trace. The
     // counters corroborate what the trace shows: exactly one retirement,
@@ -78,8 +78,10 @@ fn main() {
     // reseed-heavy policy keeps the drill short: every 512-bit block
     // harvests fresh seed material, so the dead shard surfaces after a
     // handful of keys instead of after the default policy's ~2700x
-    // expansion of the buffered conditioned bytes.
-    let mut service = PipelineBuilder::new()
+    // expansion of the buffered conditioned bytes. The session fails
+    // closed: a dead source surfaces as the read's error instead of
+    // stalling its reseeds.
+    let mut service = EntropySource::builder()
         .shards(2)
         .seed(0xFA11)
         .chunk_bytes(CHUNK)
@@ -89,7 +91,9 @@ fn main() {
             prediction_resistance: false,
         })
         .inject_shard_failure(0, 2)
-        .build(Tier::Drbg);
+        .build()
+        .expect("valid configuration")
+        .session_with(SessionConfig::new(Tier::Drbg).stall_reseeds(false));
     // Healthy fallback deployment (in production: the standby replica).
     let mut fallback = StreamRng::with_shards(2, 0x600D);
 
@@ -106,7 +110,7 @@ fn main() {
                     );
                 }
             }
-            Err(StreamError::ShardFailed {
+            Err(Error::ShardFailed {
                 shard,
                 consecutive_restarts,
             }) => {

@@ -20,7 +20,7 @@
 //!   (raw / conditioned / drbg), all driven by one stage-graph
 //!   executor over recycled chunk buffers (zero-allocation
 //!   steady-state raw reads; `DESIGN.md` §7–8), wrapped here by the
-//!   `rand`-compatible [`StreamRng`] and [`PipelineRng`] adapters;
+//!   `rand`-compatible [`StreamRng`] and [`SessionRng`] adapters;
 //! * [`serve`] — entropy as a service: the daemon front-end
 //!   (TCP / unix socket, length-prefixed frames) that multiplexes
 //!   many concurrent clients over one shared source, plus the load
@@ -51,21 +51,24 @@
 //!
 //! # Quality tiers
 //!
-//! A production deployment picks one of three output tiers from the
-//! same builder — raw source bits, conditioned bits, or DRBG output
-//! (see `README.md` § "Which tier do I want?"):
+//! A production deployment builds one shared source and opens a
+//! session per consumer at one of three output tiers — raw source
+//! bits, conditioned bits, or DRBG output (see `README.md` § "Which
+//! tier do I want?"):
 //!
 //! ```
 //! use dh_trng::prelude::*;
 //!
-//! let mut rng = PipelineRng::builder()
+//! let source = EntropySource::builder()
 //!     .shards(2)
 //!     .seed(1)
 //!     .chunk_bytes(2048)
-//!     .build(Tier::Drbg);
+//!     .build()
+//!     .expect("valid configuration");
+//! let mut rng = SessionRng::new(source.session(Tier::Drbg));
 //! let mut key = [0u8; 32];
 //! rand::RngCore::fill_bytes(&mut rng, &mut key);
-//! assert_eq!(rng.stream().tier(), Tier::Drbg);
+//! assert_eq!(rng.session().tier(), Tier::Drbg);
 //! ```
 //!
 //! See `README.md` for the repository tour and `DESIGN.md` /
@@ -86,12 +89,6 @@ pub use dhtrng_stream as stream;
 /// The session-oriented public API: one shared
 /// [`EntropySource`](dhtrng_stream::EntropySource), many independent
 /// [`Session`](dhtrng_stream::Session)s (see `dhtrng_stream::api`).
-///
-/// The legacy single-consumer pipeline
-/// ([`PipelineBuilder`](dhtrng_stream::PipelineBuilder) /
-/// [`TierStream`](dhtrng_stream::TierStream) and the [`PipelineRng`]
-/// adapter here) remains available as bit-identical sole-session
-/// shims over this API.
 pub use dhtrng_stream::api;
 
 /// The most commonly used items across the workspace.
@@ -117,12 +114,11 @@ pub mod prelude {
     pub use dhtrng_stattests::sp800_90b::{min_entropy_mcv, non_iid_battery};
     pub use dhtrng_stattests::BitBuffer;
     pub use dhtrng_stream::{
-        AffinityPolicy, ConditionedStream, ConditionerSpec, DrbgPool, EntropySource, EntropyStream,
-        EntropyStreamBuilder, HealthConfig, KernelKind, PipelineBuilder, Session, SessionConfig,
-        SourceBuilder, StreamError, Tier, TierStream,
+        AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, EntropyStreamBuilder, Error,
+        HealthConfig, Session, SessionConfig, SourceBuilder, Tier,
     };
 
-    pub use crate::{PipelineRng, StreamRng};
+    pub use crate::{SessionRng, StreamRng};
 }
 
 /// `rand`-compatible adapter over the sharded streaming engine: plugs a
@@ -134,15 +130,15 @@ pub mod prelude {
 /// [`DhTrng`](dhtrng_core::DhTrng) `RngCore` impl: words are built from
 /// the stream MSB-first.
 ///
-/// This adapter serves the **raw tier**; [`PipelineRng`] serves any
-/// tier of the conditioning/DRBG pipeline behind the same `RngCore`
-/// surface.
+/// This adapter serves the **raw tier** straight off the engine;
+/// [`SessionRng`] serves any tier through a session behind the same
+/// `RngCore` surface.
 ///
 /// # Panics
 ///
 /// The infallible [`rand::RngCore`] methods panic if the underlying
 /// stream fails terminally (a shard retired; see
-/// [`StreamError`](dhtrng_stream::StreamError)). Use
+/// [`Error`](dhtrng_stream::Error)). Use
 /// [`try_fill_bytes`](rand::RngCore::try_fill_bytes) — or inspect
 /// [`stream`](Self::stream) — for a non-panicking path.
 ///
@@ -218,28 +214,19 @@ impl rand::RngCore for StreamRng {
     }
 }
 
-/// `rand`-compatible adapter over the typed output pipeline: one
-/// `RngCore` surface for all three quality tiers
-/// ([`Tier`](dhtrng_stream::Tier)) of a sharded DH-TRNG deployment —
-/// `raw` source bits, `conditioned` bits, or SP 800-90C-style `drbg`
-/// output.
+/// `rand`-compatible adapter over one
+/// [`Session`](dhtrng_stream::Session): any quality tier
+/// ([`Tier`](dhtrng_stream::Tier)) of a shared deployment — `raw`
+/// source bits, `conditioned` bits, or SP 800-90C-style `drbg` output.
 ///
 /// Byte and word order match [`StreamRng`] (words built MSB-first from
-/// the tier's byte stream).
-///
-/// **Legacy shim.** The pipeline underneath is now a bit-identical
-/// sole-session view over the session-oriented [`api`]
-/// ([`EntropySource`](dhtrng_stream::EntropySource) /
-/// [`Session`](dhtrng_stream::Session)); new code that wants multiple
-/// consumers, quotas, or graceful degradation should open sessions
-/// directly and wrap them as needed.
+/// the session's byte stream).
 ///
 /// # Panics
 ///
 /// As [`StreamRng`]: the infallible [`rand::RngCore`] methods panic if
-/// the underlying engine fails terminally (every tier propagates the
-/// same typed [`StreamError`](dhtrng_stream::StreamError)); use
-/// [`try_fill_bytes`](rand::RngCore::try_fill_bytes) for a
+/// the session's read fails (see [`Session::read`](dhtrng_stream::Session::read));
+/// use [`try_fill_bytes`](rand::RngCore::try_fill_bytes) for a
 /// non-panicking path.
 ///
 /// # Example
@@ -248,125 +235,40 @@ impl rand::RngCore for StreamRng {
 /// use dh_trng::prelude::*;
 /// use rand::Rng;
 ///
-/// let mut rng = PipelineRng::builder()
+/// let source = EntropySource::builder()
 ///     .shards(2)
 ///     .seed(7)
 ///     .chunk_bytes(2048)
-///     .build(Tier::Conditioned);
+///     .build()
+///     .expect("valid configuration");
+/// let mut rng = SessionRng::new(source.session(Tier::Conditioned));
 /// let die: u8 = rng.gen_range(1..=6);
 /// assert!((1..=6).contains(&die));
 /// ```
 #[derive(Debug)]
-pub struct PipelineRng {
-    stream: dhtrng_stream::TierStream,
+pub struct SessionRng {
+    session: dhtrng_stream::Session,
 }
 
-impl PipelineRng {
-    /// Wraps an already-built tier stream.
-    pub fn new(stream: dhtrng_stream::TierStream) -> Self {
-        Self { stream }
+impl SessionRng {
+    /// Wraps a session.
+    pub fn new(session: dhtrng_stream::Session) -> Self {
+        Self { session }
     }
 
-    /// Starts configuring a pipeline; finish with
-    /// [`PipelineBuilder::build`](dhtrng_stream::PipelineBuilder::build)
-    /// and wrap the result via [`new`](Self::new) — or use
-    /// [`with_tier`](Self::with_tier) for the defaults.
-    pub fn builder() -> PipelineRngBuilder {
-        PipelineRngBuilder {
-            inner: dhtrng_stream::PipelineBuilder::new(),
-        }
-    }
-
-    /// A `shards`-wide pipeline at the stage defaults, serving `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is outside `1..=64`.
-    pub fn with_tier(shards: usize, seed: u64, tier: dhtrng_stream::Tier) -> Self {
-        Self::new(
-            dhtrng_stream::PipelineBuilder::new()
-                .shards(shards)
-                .seed(seed)
-                .build(tier),
-        )
-    }
-
-    /// The tier stream behind the adapter (tier, modeled throughput,
-    /// stage statistics, the raw engine).
-    pub fn stream(&self) -> &dhtrng_stream::TierStream {
-        &self.stream
+    /// The session behind the adapter (tier, bytes delivered, reseeds,
+    /// the shared source).
+    pub fn session(&self) -> &dhtrng_stream::Session {
+        &self.session
     }
 
     /// Unwraps the adapter.
-    pub fn into_inner(self) -> dhtrng_stream::TierStream {
-        self.stream
+    pub fn into_inner(self) -> dhtrng_stream::Session {
+        self.session
     }
 }
 
-/// Builder returned by [`PipelineRng::builder`]: the pipeline builder
-/// with a [`build`](Self::build) that wraps the chosen tier in the
-/// `rand` adapter directly.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineRngBuilder {
-    inner: dhtrng_stream::PipelineBuilder,
-}
-
-impl PipelineRngBuilder {
-    /// Number of parallel DH-TRNG instances (1..=64).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.inner = self.inner.shards(shards);
-        self
-    }
-
-    /// Master seed for the shard seed schedule.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Bytes per produced chunk (the engine's merge granularity).
-    #[must_use]
-    pub fn chunk_bytes(mut self, bytes: usize) -> Self {
-        self.inner = self.inner.chunk_bytes(bytes);
-        self
-    }
-
-    /// Conditioner for the conditioned and drbg tiers.
-    #[must_use]
-    pub fn conditioner(mut self, spec: dhtrng_stream::ConditionerSpec) -> Self {
-        self.inner = self.inner.conditioner(spec);
-        self
-    }
-
-    /// DRBG policy for the drbg tier.
-    #[must_use]
-    pub fn drbg_config(mut self, config: dhtrng_core::drbg::DrbgConfig) -> Self {
-        self.inner = self.inner.drbg_config(config);
-        self
-    }
-
-    /// Every other engine knob (shard seed schedules, health cutoffs,
-    /// restart budgets, device config): the underlying
-    /// [`PipelineBuilder`](dhtrng_stream::PipelineBuilder).
-    #[must_use]
-    pub fn pipeline(self) -> dhtrng_stream::PipelineBuilder {
-        self.inner
-    }
-
-    /// Builds the chosen tier behind the `rand` adapter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configuration (see
-    /// [`PipelineBuilder::build`](dhtrng_stream::PipelineBuilder::build)).
-    pub fn build(self, tier: dhtrng_stream::Tier) -> PipelineRng {
-        PipelineRng::new(self.inner.build(tier))
-    }
-}
-
-impl rand::RngCore for PipelineRng {
+impl rand::RngCore for SessionRng {
     fn next_u32(&mut self) -> u32 {
         let mut bytes = [0u8; 4];
         self.fill_bytes(&mut bytes);
@@ -380,13 +282,13 @@ impl rand::RngCore for PipelineRng {
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.stream
+        self.session
             .read(dest)
-            .expect("entropy pipeline failed terminally");
+            .expect("entropy session read failed");
     }
 
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.stream.read(dest).map_err(rand::Error::new)
+        self.session.read(dest).map_err(rand::Error::new)
     }
 }
 
@@ -446,16 +348,20 @@ mod tests {
         );
     }
 
+    fn source(shards: usize, seed: u64) -> EntropySource {
+        EntropySource::builder()
+            .shards(shards)
+            .seed(seed)
+            .build()
+            .expect("valid configuration")
+    }
+
     #[test]
-    fn pipeline_rng_serves_all_three_tiers() {
+    fn session_rng_serves_all_three_tiers() {
         use rand::{Rng, RngCore};
         for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
-            let mut rng = PipelineRng::builder()
-                .shards(2)
-                .seed(13)
-                .chunk_bytes(1024)
-                .build(tier);
-            assert_eq!(rng.stream().tier(), tier);
+            let mut rng = SessionRng::new(source(2, 13).session(tier));
+            assert_eq!(rng.session().tier(), tier);
             let mut key = [0u8; 32];
             rng.fill_bytes(&mut key);
             assert!(key.iter().any(|&b| b != 0), "{tier:?}");
@@ -465,33 +371,61 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_raw_tier_matches_stream_rng() {
+    fn raw_session_rng_matches_stream_rng() {
         use rand::RngCore;
-        let mut pipeline = PipelineRng::with_tier(2, 21, Tier::Raw);
+        let mut session = SessionRng::new(source(2, 21).session(Tier::Raw));
         let mut direct = StreamRng::with_shards(2, 21);
         let mut a = [0u8; 64];
         let mut b = [0u8; 64];
-        pipeline.fill_bytes(&mut a);
+        session.fill_bytes(&mut a);
         direct.fill_bytes(&mut b);
-        assert_eq!(a, b, "raw tier is the engine stream itself");
+        assert_eq!(a, b, "a raw session reads the engine stream itself");
     }
 
     #[test]
-    fn pipeline_rng_surfaces_tier_errors_through_try_fill() {
+    fn session_rng_words_and_unwrapping_continue_the_session_stream() {
         use rand::RngCore;
-        let mut rng = PipelineRng::new(
-            PipelineBuilder::new()
-                .shards(1)
-                .seed(3)
-                .chunk_bytes(256)
-                .health(crate::stream::HealthConfig {
-                    rct_cutoff: 2,
-                    apt_window: 64,
-                    apt_cutoff: 64,
-                })
-                .max_consecutive_restarts(2)
-                .build(Tier::Drbg),
-        );
+        for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+            let mut plain = source(2, 31).session(tier);
+            let mut bytes = [0u8; 28];
+            plain.read(&mut bytes).unwrap();
+
+            let mut rng = SessionRng::new(source(2, 31).session(tier));
+            assert_eq!(
+                rng.next_u64(),
+                u64::from_be_bytes(bytes[..8].try_into().unwrap()),
+                "{tier:?}"
+            );
+            assert_eq!(
+                rng.next_u32(),
+                u32::from_be_bytes(bytes[8..12].try_into().unwrap()),
+                "{tier:?}"
+            );
+            // Unwrapping hands back the session mid-stream, ledger intact.
+            let mut session = rng.into_inner();
+            assert_eq!(session.bytes_delivered(), 12, "{tier:?}");
+            let mut rest = [0u8; 16];
+            session.read(&mut rest).unwrap();
+            assert_eq!(rest[..], bytes[12..], "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn session_rng_surfaces_tier_errors_through_try_fill() {
+        use rand::RngCore;
+        let source = EntropySource::builder()
+            .shards(1)
+            .seed(3)
+            .chunk_bytes(256)
+            .health(HealthConfig {
+                rct_cutoff: 2,
+                apt_window: 64,
+                apt_cutoff: 64,
+            })
+            .max_consecutive_restarts(2)
+            .build()
+            .expect("valid configuration");
+        let mut rng = SessionRng::new(source.session(Tier::Drbg));
         let mut buf = [0u8; 16];
         assert!(rng.try_fill_bytes(&mut buf).is_err());
     }

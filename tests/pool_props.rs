@@ -17,8 +17,8 @@
 //! The rollback properties drive the induced-retirement path
 //! (`inject_shard_failure`) and assert that however reads are sliced,
 //! the total byte sequence delivered across retries is identical —
-//! every healthy byte exactly once, at the conditioned tier and at the
-//! drbg tier (block-granularity reads).
+//! every healthy byte exactly once, for a conditioned session and for
+//! a fail-closed drbg session (block-granularity reads).
 
 use dh_trng::prelude::*;
 use dh_trng::stream::HealthConfig;
@@ -35,14 +35,14 @@ fn flaky_health() -> HealthConfig {
     }
 }
 
-/// Drains a conditioned stream until its terminal error, reading
+/// Drains a conditioned session until its terminal error, reading
 /// `read_size` bytes at a time and falling back to byte-sized retries
 /// after the first failure. Returns every byte delivered.
-fn drain_conditioned(mut tier: ConditionedStream, mut read_size: usize) -> Vec<u8> {
+fn drain_conditioned(mut session: Session, mut read_size: usize) -> Vec<u8> {
     let mut delivered = Vec::new();
     loop {
         let mut buf = vec![0u8; read_size];
-        match tier.read(&mut buf) {
+        match session.read(&mut buf) {
             Ok(()) => delivered.extend_from_slice(&buf),
             Err(_) if read_size > 1 => read_size = 1,
             Err(_) => return delivered,
@@ -50,15 +50,16 @@ fn drain_conditioned(mut tier: ConditionedStream, mut read_size: usize) -> Vec<u
     }
 }
 
-/// Drains a drbg pool until its terminal error with reads of at most
-/// one block (the granularity the rewind contract covers).
-fn drain_drbg(mut pool: DrbgPool, read_size: usize) -> Vec<u8> {
+/// Drains a fail-closed drbg session until its terminal error with
+/// reads of at most one block (the granularity the rewind contract
+/// covers).
+fn drain_drbg(mut session: Session, read_size: usize) -> Vec<u8> {
     assert!(read_size <= 64);
     let mut delivered = Vec::new();
     let mut size = read_size;
     loop {
         let mut buf = vec![0u8; size];
-        match pool.read(&mut buf) {
+        match session.read(&mut buf) {
             Ok(()) => delivered.extend_from_slice(&buf),
             Err(_) if size > 1 => size = 1,
             Err(_) => return delivered,
@@ -119,12 +120,14 @@ proptest! {
         fail_after in 1u64..5,
         read_size in 2usize..96,
     ) {
-        let build = || PipelineBuilder::new()
+        let build = || EntropySource::builder()
             .shards(2)
             .seed(seed)
             .chunk_bytes(256)
             .inject_shard_failure(0, fail_after)
-            .build_conditioned();
+            .build()
+            .expect("valid configuration")
+            .session(Tier::Conditioned);
         // However the reads are sliced, the bytes delivered across
         // retries before the terminal error must be identical: the
         // rollback contract restores everything a failed read copied.
@@ -139,7 +142,7 @@ proptest! {
         fail_after in 1u64..4,
         read_size in 2usize..65,
     ) {
-        let build = || PipelineBuilder::new()
+        let build = || EntropySource::builder()
             .shards(2)
             .seed(seed)
             .chunk_bytes(256)
@@ -151,7 +154,10 @@ proptest! {
                 prediction_resistance: false,
             })
             .inject_shard_failure(0, fail_after)
-            .build_drbg();
+            .build()
+            .expect("valid configuration")
+            // Fail closed: the dead source must end the drain.
+            .session_with(SessionConfig::new(Tier::Drbg).stall_reseeds(false));
         let by_blocks = drain_drbg(build(), read_size);
         let byte_at_a_time = drain_drbg(build(), 1);
         prop_assert_eq!(by_blocks, byte_at_a_time);

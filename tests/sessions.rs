@@ -10,7 +10,8 @@
 //! * **degrade, not die** — a shard retiring mid-run stalls drbg
 //!   reseeds and latches the source degraded, while every live drbg
 //!   session keeps serving reads; only consumers that *need* fresh
-//!   source bytes (conditioned sessions) see the terminal error.
+//!   source bytes (conditioned sessions, and drbg sessions configured
+//!   to fail closed) see the terminal error.
 //!
 //! The partition check exploits the draw granularity: a conditioned
 //! draw hands whole conditioner output units (chunk_bytes /
@@ -218,6 +219,69 @@ fn retirement_mid_run_degrades_drbg_sessions_without_killing_them() {
     let mut buf = [0u8; 64];
     let error = conditioned.read(&mut buf).expect_err("source is dead");
     assert!(!error.is_retriable());
+}
+
+/// The failure policy is per session: on one dying source, a fail-closed
+/// drbg session (`stall_reseeds(false)`) surfaces the retirement as its
+/// read's error, and keeps surfacing it, while a default sibling stalls
+/// its reseeds and keeps serving. Only the sibling counts as stalled.
+#[test]
+fn fail_closed_sessions_error_where_stalling_siblings_keep_serving() {
+    const READS: usize = 48;
+    let source = EntropySource::builder()
+        .shards(2)
+        .seed(97)
+        .chunk_bytes(CHUNK_BYTES)
+        .conditioner(ConditionerSpec::Crc { ratio: 2 })
+        .inject_shard_failure(0, 2)
+        .max_consecutive_restarts(0)
+        .drbg_config(DrbgConfig {
+            reseed_interval_bits: 512,
+            ..Default::default()
+        })
+        .build()
+        .expect("valid source");
+    let mut stalling = source.session(Tier::Drbg);
+    let mut fail_closed = source.session_with(SessionConfig::new(Tier::Drbg).stall_reseeds(false));
+    stalling.prime().expect("shard still alive at handshake");
+    fail_closed.prime().expect("shard still alive at handshake");
+
+    // One 64-byte block per reseed: the two sessions' harvests drain
+    // the 4 healthy chunks within a few dozen reads.
+    let mut buf = [0u8; 64];
+    let mut failure = None;
+    for _ in 0..READS {
+        stalling
+            .read(&mut buf)
+            .expect("a stalling session survives shard retirement");
+        if failure.is_none() {
+            failure = fail_closed.read(&mut buf).err();
+        }
+    }
+    let failure = failure.expect("the retirement must reach the fail-closed session");
+    assert!(
+        matches!(failure, Error::ShardFailed { shard: 0, .. }),
+        "{failure}"
+    );
+    assert!(!failure.is_retriable());
+
+    // Fail closed for good: the next read fails the same way and
+    // delivers nothing, and no stale re-key ever happened.
+    let delivered = fail_closed.bytes_delivered();
+    assert_eq!(fail_closed.read(&mut buf), Err(failure));
+    assert_eq!(fail_closed.bytes_delivered(), delivered);
+    assert!(!fail_closed.is_degraded());
+    assert_eq!(fail_closed.stalled_reseeds(), 0);
+
+    assert!(stalling.is_degraded());
+    assert!(stalling.stalled_reseeds() > 0);
+    let stats = source.stats();
+    assert_eq!(stats.degraded, Some(failure));
+    assert_eq!(
+        stats.stalled_reseeds,
+        stalling.stalled_reseeds(),
+        "only the stalling session stalls"
+    );
 }
 
 /// The stage telemetry and the session bookkeeping are two independent

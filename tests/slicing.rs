@@ -1,9 +1,10 @@
-//! The bit-sliced kernel's equivalence contract, end to end: every lane
-//! of a `SlicedKernel` is bit-identical to a same-configured scalar
+//! The bit-sliced kernel's equivalence contract: every lane of a
+//! `SlicedKernel` is bit-identical to a same-configured scalar
 //! generator — over random configurations (property-tested across beat
 //! counts, probability corners, feedback on/off), over degenerate lane
-//! counts (< 64 instances, exercising the padding), and through the
-//! full streaming engine under both forced `KernelKind`s.
+//! counts (< 64 instances, exercising the padding), at the full
+//! 64-lane width, and against every tier of the streaming engine, whose
+//! shard workers a bank can stand in for.
 
 use dh_trng::core::batch::MAX_BEATS;
 use dh_trng::core::model::BeatOscillator;
@@ -135,9 +136,9 @@ fn under_populated_banks_pad_without_perturbing_real_lanes() {
     }
 }
 
-/// The lane-capacity edge: exactly MAX_LANES instances slice fine; the
-/// engine's shard ceiling (64) can therefore always ride the sliced
-/// kernel.
+/// The lane-capacity edge: exactly MAX_LANES instances slice fine, so
+/// one bank can stand in for a deployment at the engine's shard
+/// ceiling (64).
 #[test]
 fn full_width_bank_is_accepted_and_lane_exact() {
     let instances: Vec<DhTrng> = (0..MAX_LANES)
@@ -154,50 +155,86 @@ fn full_width_bank_is_accepted_and_lane_exact() {
     }
 }
 
-/// The engine-level contract the CI kernel-matrix enforces: both forced
-/// kernels produce the identical merged stream, for every tier of the
-/// pipeline.
-#[test]
-fn forced_kernels_agree_across_all_tiers() {
-    for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
-        let make = |kernel: KernelKind| {
-            PipelineBuilder::new()
-                .shards(3)
-                .seed(90)
-                .chunk_bytes(512)
-                .kernel(kernel)
-                .build(tier)
-        };
-        let mut scalar = make(KernelKind::Scalar);
-        let mut sliced = make(KernelKind::Sliced);
-        let mut a = vec![0u8; 2048];
-        let mut b = vec![0u8; 2048];
-        scalar.read(&mut a).unwrap();
-        sliced.read(&mut b).unwrap();
-        assert_eq!(a, b, "{tier:?}");
+/// A recorded byte stream replayed as a `Trng`, most significant bit
+/// first, so the core conditioning adaptors can run over it.
+struct Replay {
+    bytes: Vec<u8>,
+    bit: usize,
+}
+
+impl Trng for Replay {
+    fn next_bit(&mut self) -> bool {
+        let bit = (self.bytes[self.bit / 8] >> (7 - self.bit % 8)) & 1 == 1;
+        self.bit += 1;
+        bit
     }
 }
 
-/// Sessions over a sliced source read the same bytes as sessions over a
-/// scalar source — the sessions API gets the kernel for free.
+/// The engine's deterministic merge over a sliced bank: lane `i` is
+/// seeded like shard `i` of a `seed`-mastered deployment, and each
+/// round appends every lane's next `chunk` bytes in lane order.
+fn merged_bank_stream(shards: u64, seed: u64, chunk: usize, rounds: usize) -> Vec<u8> {
+    let instances: Vec<DhTrng> = (0..shards)
+        .map(|i| {
+            DhTrng::builder()
+                .seed(EntropyStreamBuilder::derive_shard_seed(seed, i))
+                .build()
+        })
+        .collect();
+    let mut bank = SlicedDhTrng::new(instances).expect("1..=MAX_LANES lanes");
+    let mut merged = Vec::new();
+    for _ in 0..rounds {
+        let mut chunks: Vec<Option<Vec<u8>>> =
+            (0..shards).map(|_| Some(vec![0u8; chunk])).collect();
+        bank.fill_lane_chunks(&mut chunks);
+        merged.extend(chunks.into_iter().flatten().flatten());
+    }
+    merged
+}
+
+/// The library kernel stands in for the engine's shard workers: a bank
+/// seeded with the engine's shard schedule and merged chunk by chunk
+/// reproduces a sole session at every tier, the raw tier verbatim and
+/// the conditioned and drbg tiers through the core `Conditioned` and
+/// `Drbg` adaptors over the merged bytes.
 #[test]
-fn sessions_are_kernel_agnostic() {
-    let make = |kernel: KernelKind| {
-        SourceBuilder::new()
-            .shards(2)
-            .seed(41)
-            .chunk_bytes(512)
-            .kernel(kernel)
-            .build()
-            .expect("valid source config")
+fn sliced_bank_reproduces_every_tier_of_the_engine() {
+    const SHARDS: usize = 3;
+    const SEED: u64 = 90;
+    const CHUNK: usize = 512;
+    const READ: usize = 2048;
+    // The conditioned tier compresses 2:1, so READ bytes of it need
+    // 2 * READ raw bytes: 8 chunks, inside 4 rounds of 3.
+    let merged = merged_bank_stream(SHARDS as u64, SEED, CHUNK, 4);
+    let conditioned = || {
+        Conditioned::new(
+            Replay {
+                bytes: merged.clone(),
+                bit: 0,
+            },
+            CrcWhitener::new(2),
+        )
     };
-    let scalar_source = make(KernelKind::Scalar);
-    let sliced_source = make(KernelKind::Sliced);
-    let mut a = scalar_source.session(Tier::Conditioned);
-    let mut b = sliced_source.session(Tier::Conditioned);
-    let mut buf_a = [0u8; 777];
-    let mut buf_b = [0u8; 777];
-    a.read(&mut buf_a).unwrap();
-    b.read(&mut buf_b).unwrap();
-    assert_eq!(buf_a, buf_b);
+    for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+        let mut session = EntropySource::builder()
+            .shards(SHARDS)
+            .seed(SEED)
+            .chunk_bytes(CHUNK)
+            .build()
+            .expect("valid configuration")
+            .session(tier);
+        let mut got = vec![0u8; READ];
+        session.read(&mut got).expect("healthy");
+
+        let mut want = vec![0u8; READ];
+        match tier {
+            Tier::Raw => want.copy_from_slice(&merged[..READ]),
+            Tier::Conditioned => Trng::fill_bytes(&mut conditioned(), &mut want),
+            Tier::Drbg => Trng::fill_bytes(
+                &mut Drbg::new(conditioned(), DrbgConfig::default()),
+                &mut want,
+            ),
+        }
+        assert_eq!(got, want, "{tier:?}");
+    }
 }

@@ -138,7 +138,7 @@ fn shard_retirement_keeps_the_merge_order_deterministic() {
     let err = doomed.read(&mut oversized).unwrap_err();
     assert_eq!(
         err,
-        StreamError::ShardFailed {
+        Error::ShardFailed {
             shard: 1,
             consecutive_restarts: 0
         }
@@ -184,6 +184,6 @@ fn dead_stream_reports_typed_error_through_try_fill_bytes() {
     assert!(rng.try_fill_bytes(&mut buf).is_err());
     assert!(matches!(
         rng.stream().failed(),
-        Some(StreamError::ShardFailed { shard: 0, .. })
+        Some(Error::ShardFailed { shard: 0, .. })
     ));
 }

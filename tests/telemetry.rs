@@ -4,10 +4,8 @@
 //!
 //! 1. **Event sequences** — an injected shard failure and a
 //!    health-exhaustion retirement each produce *exactly* the expected
-//!    per-shard event sequence through the [`Tracer`], under either
-//!    generation kernel (CI re-runs this file under all three
-//!    `DHTRNG_KERNEL` forcings; the builders here leave the kernel at
-//!    `Auto` so the forcing applies).
+//!    per-shard event sequence through the [`Tracer`], whether the
+//!    engine is read bare or through a session.
 //! 2. **Counter reconciliation** — the always-on counters agree
 //!    exactly with ground truth (delivered bytes) under arbitrary read
 //!    slicing, and per-shard blocks sum to the aggregate.
@@ -23,17 +21,14 @@ const CHUNK: usize = 256;
 
 /// Scenario A: two shards, shard 1 retires after 3 healthy chunks.
 /// Returns the tracer and the terminal error the stream surfaced.
-fn run_injected_retirement(tracer: &Arc<Tracer>, kernel: Option<KernelKind>) -> StreamError {
-    let mut builder = EntropyStream::builder()
+fn run_injected_retirement(tracer: &Arc<Tracer>) -> Error {
+    let mut stream = EntropyStream::builder()
         .shards(2)
         .seed(4)
         .chunk_bytes(CHUNK)
         .inject_shard_failure(1, 3)
-        .recorder(Arc::clone(tracer) as Arc<dyn Recorder>);
-    if let Some(kernel) = kernel {
-        builder = builder.kernel(kernel);
-    }
-    let mut stream = builder.build();
+        .recorder(Arc::clone(tracer) as Arc<dyn Recorder>)
+        .build();
     // Deterministic merge prefix: rounds 0..2 deliver both shards'
     // chunks, round 3 delivers shard 0's before the cursor reaches
     // shard 1's obituary — exactly 7 chunks.
@@ -42,6 +37,25 @@ fn run_injected_retirement(tracer: &Arc<Tracer>, kernel: Option<KernelKind>) -> 
         .read(&mut prefix)
         .expect("prefix precedes retirement");
     stream.read(&mut [0u8; 1]).expect_err("obituary at slot 1")
+}
+
+/// Scenario A behind the session surface: the same deployment mounted
+/// in an [`EntropySource`] and read by a sole raw session.
+fn run_injected_retirement_through_a_session(tracer: &Arc<Tracer>) -> Error {
+    let source = EntropySource::builder()
+        .shards(2)
+        .seed(4)
+        .chunk_bytes(CHUNK)
+        .inject_shard_failure(1, 3)
+        .recorder(Arc::clone(tracer) as Arc<dyn Recorder>)
+        .build()
+        .expect("valid configuration");
+    let mut session = source.session(Tier::Raw);
+    let mut prefix = vec![0u8; 7 * CHUNK];
+    session
+        .read(&mut prefix)
+        .expect("prefix precedes retirement");
+    session.read(&mut [0u8; 1]).expect_err("obituary at slot 1")
 }
 
 /// The shard-`shard` production-track events, in capture order.
@@ -63,10 +77,10 @@ fn producer_track(tracer: &Tracer, shard: usize) -> Vec<StageEvent> {
 #[test]
 fn injected_failure_emits_exactly_the_expected_event_sequence() {
     let tracer = Arc::new(Tracer::deterministic(4096));
-    let error = run_injected_retirement(&tracer, None);
+    let error = run_injected_retirement(&tracer);
     assert_eq!(
         error,
-        StreamError::ShardFailed {
+        Error::ShardFailed {
             shard: 1,
             consecutive_restarts: 0
         }
@@ -111,6 +125,57 @@ fn injected_failure_emits_exactly_the_expected_event_sequence() {
             3
         ]
     );
+
+    // The surviving shard runs ahead of the merge by a timing-dependent
+    // amount before shutdown, but its *merged* prefix — the 4 chunks
+    // delivered before the obituary slot — is deterministic.
+    let healthy_pair = [
+        StageEvent::HealthVerdict {
+            shard: 0,
+            passed: true,
+        },
+        StageEvent::ChunkProduced {
+            shard: 0,
+            bytes: CHUNK,
+        },
+    ];
+    let expected_prefix: Vec<StageEvent> = healthy_pair.iter().copied().cycle().take(8).collect();
+    let track = producer_track(&tracer, 0);
+    assert!(
+        track.len() >= 8 && track[..8] == expected_prefix[..],
+        "shard 0 must produce its 4 merged chunks first, got {track:?}"
+    );
+}
+
+#[test]
+fn sessions_and_the_bare_engine_emit_identical_per_shard_event_sequences() {
+    // A raw session reads the engine stream itself, so mounting the
+    // deployment in a source must not change a shard's story: the same
+    // terminal error, the retired shard's track event for event (one
+    // `Retired`, recorded by the worker that decided it), and the same
+    // merge pops in the same order.
+    let bare = Arc::new(Tracer::deterministic(4096));
+    let mounted = Arc::new(Tracer::deterministic(4096));
+    assert_eq!(
+        run_injected_retirement(&bare),
+        run_injected_retirement_through_a_session(&mounted)
+    );
+    assert_eq!(mounted.dropped(), 0, "capacity must cover the scenario");
+    assert_eq!(
+        producer_track(&bare, 1),
+        producer_track(&mounted, 1),
+        "shard 1's event sequence must not depend on the surface"
+    );
+    let merge_track = |tracer: &Tracer| -> Vec<StageEvent> {
+        tracer
+            .events()
+            .iter()
+            .map(|e| e.event)
+            .filter(|event| matches!(event, StageEvent::ChunkMerged { .. }))
+            .collect()
+    };
+    assert_eq!(merge_track(&bare), merge_track(&mounted));
+    assert_eq!(merge_track(&mounted).len(), 7, "the 7-chunk merged prefix");
 }
 
 #[test]
@@ -133,7 +198,7 @@ fn health_exhaustion_emits_the_full_restart_ladder() {
     let error = stream.read(&mut [0u8; 1]).expect_err("nothing can pass");
     assert_eq!(
         error,
-        StreamError::ShardFailed {
+        Error::ShardFailed {
             shard: 0,
             consecutive_restarts: 3
         }
@@ -174,46 +239,6 @@ fn health_exhaustion_emits_the_full_restart_ladder() {
     assert_eq!(snap.restarts, 3);
     assert_eq!(snap.retirements, 1);
     assert_eq!(snap.chunks_produced, 0);
-}
-
-#[test]
-fn kernels_emit_identical_per_shard_event_sequences() {
-    // The scalar worker threads and the sliced lockstep bank interleave
-    // differently in *global* capture order, but each shard's own track
-    // must be event-identical — the observability face of the kernels'
-    // bit-identity contract.
-    let scalar = Arc::new(Tracer::deterministic(4096));
-    let sliced = Arc::new(Tracer::deterministic(4096));
-    let scalar_err = run_injected_retirement(&scalar, Some(KernelKind::Scalar));
-    let sliced_err = run_injected_retirement(&sliced, Some(KernelKind::Sliced));
-    assert_eq!(scalar_err, sliced_err);
-    // The retired shard's whole life is deterministic.
-    assert_eq!(
-        producer_track(&scalar, 1),
-        producer_track(&sliced, 1),
-        "shard 1's event sequence must not depend on the kernel"
-    );
-    // The surviving shard runs ahead of the merge by a timing-dependent
-    // amount before shutdown, but its *merged* prefix — the 4 chunks
-    // delivered before the obituary slot — is deterministic.
-    let healthy_pair = [
-        StageEvent::HealthVerdict {
-            shard: 0,
-            passed: true,
-        },
-        StageEvent::ChunkProduced {
-            shard: 0,
-            bytes: CHUNK,
-        },
-    ];
-    let expected_prefix: Vec<StageEvent> = healthy_pair.iter().copied().cycle().take(8).collect();
-    for (name, tracer) in [("scalar", &scalar), ("sliced", &sliced)] {
-        let track = producer_track(tracer, 0);
-        assert!(
-            track.len() >= 8 && track[..8] == expected_prefix[..],
-            "{name}: shard 0 must produce its 4 merged chunks first, got {track:?}"
-        );
-    }
 }
 
 mod reconciliation {
@@ -399,7 +424,7 @@ fn metrics_handle_derives_per_shard_mbps_over_a_caller_window() {
 #[test]
 fn chrome_export_is_valid_json_with_monotonic_timestamps() {
     let tracer = Arc::new(Tracer::deterministic(4096));
-    let _ = run_injected_retirement(&tracer, None);
+    let _ = run_injected_retirement(&tracer);
     let exported = tracer.to_chrome_json();
 
     let root = json::parse(&exported).expect("export must be valid JSON");
@@ -477,7 +502,7 @@ fn chrome_export_is_valid_json_with_monotonic_timestamps() {
     // per-shard stories (compare the filtered track, not raw JSON — the
     // two producer threads may interleave differently).
     let again = Arc::new(Tracer::deterministic(4096));
-    let _ = run_injected_retirement(&again, None);
+    let _ = run_injected_retirement(&again);
     assert_eq!(producer_track(&tracer, 1), producer_track(&again, 1));
 }
 
@@ -487,7 +512,7 @@ fn tracer_ring_is_bounded_and_drop_oldest_under_overflow() {
     // never grows, the eviction count reconciles, and what remains is
     // the newest suffix (it ends with the retirement).
     let tracer = Arc::new(Tracer::deterministic(8));
-    let _ = run_injected_retirement(&tracer, None);
+    let _ = run_injected_retirement(&tracer);
     let events = tracer.events();
     assert_eq!(events.len(), 8);
     assert_eq!(tracer.recorded() - tracer.dropped(), 8);

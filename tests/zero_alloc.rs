@@ -193,13 +193,15 @@ fn raw_tier_steady_state_reads_do_not_allocate_with_recorder_enabled() {
 #[test]
 fn conditioned_tier_steady_state_reads_do_not_allocate() {
     let _serial = serial();
-    let mut tier = PipelineBuilder::new()
+    let mut tier = EntropySource::builder()
         .shards(2)
         .seed(0xB10C)
         .chunk_bytes(4096)
         .queue_chunks(4)
         .conditioner(ConditionerSpec::Crc { ratio: 2 })
-        .build_conditioned();
+        .build()
+        .expect("valid configuration")
+        .session(Tier::Conditioned);
     let mut buf = vec![0u8; 4096];
 
     // Prime: pool commit, session carry growth, conditioner tables.
