@@ -29,12 +29,7 @@
 //!    4-shard source and reports per-read latency percentiles; the run
 //!    must finish with zero protocol errors and zero exactly-once
 //!    delivery violations or the report aborts;
-//! 6. **kernel comparison** — 64 same-seeded generators evaluated by
-//!    the scalar batched `BlockKernel` (sequentially, the shard
-//!    worker's path) against the bit-sliced ×64 `SlicedKernel` library
-//!    bank (identical bytes per lane), plus which SIMD backend the
-//!    sliced kernel selected at runtime;
-//! 7. **multicore scaling + hand-off cost** — raw-tier wall-clock Mbps
+//! 6. **multicore scaling + hand-off cost** — raw-tier wall-clock Mbps
 //!    at 1/2/4 shards with `core_affinity(PerShard)` engaged, the
 //!    per-chunk cost of the lock-free SPSC ring hand-off against the
 //!    `std::sync::mpsc` channel it replaced, and the hand-off
@@ -42,14 +37,14 @@
 //!    when `available_parallelism() > 1`: on a 1-CPU host the shard
 //!    workers time-share one core, so the Mbps columns are recorded but
 //!    are explicitly **not** a multicore scaling measurement;
-//! 8. **telemetry overhead** — ns per steady-state raw-tier chunk read
+//! 7. **telemetry overhead** — ns per steady-state raw-tier chunk read
 //!    with the stage-event recorder disabled (the no-op default) vs
 //!    enabled (a bounded deterministic `Tracer`), plus allocations per
 //!    read with the recorder on. The always-on counters run in both
 //!    configurations, so the ratio isolates the event layer's cost; CI
 //!    fails the job when `overhead_ratio` exceeds 1.10 or the
 //!    recorder-on read path allocates at all;
-//! 9. **conditioning kernels** — per-conditioner ns per raw bit for the
+//! 8. **conditioning kernels** — per-conditioner ns per raw bit for the
 //!    bit-serial `push` loop vs the table-driven `condition_block`
 //!    path, measured on the same input buffer, plus a bit-exactness
 //!    check (the block path must produce the identical output stream,
@@ -57,13 +52,13 @@
 //!    CRC-16 ratio-2 ratio — the pipeline's default conditioner — and
 //!    CI fails the job when any `match` flag is false or when the
 //!    conditioned-tier read path allocates;
-//! 10. **health gate** — ns per bit of the shard worker's SP 800-90B
-//!     gate over one 64 KiB chunk of generator output, through the
-//!     bit-serial `HealthMonitor::feed` loop vs the word-level
-//!     `HealthMonitor::feed_bytes`, plus a bit-exactness check (both
-//!     must leave identical monitors, on the healthy chunk and on a
-//!     copy with a stuck-at run spliced in). CI fails the job when
-//!     `health.match` is false.
+//! 9. **health gate** — ns per bit of the shard worker's SP 800-90B
+//!    gate over one 64 KiB chunk of generator output, through the
+//!    bit-serial `HealthMonitor::feed` loop vs the word-level
+//!    `HealthMonitor::feed_bytes`, plus a bit-exactness check (both
+//!    must leave identical monitors, on the healthy chunk and on a
+//!    copy with a stuck-at run spliced in). CI fails the job when
+//!    `health.match` is false.
 //!
 //! Usage: `bench_report [--quick] [--out PATH]` (default
 //! `BENCH_10.json` in the working directory; CI uploads it as a
@@ -73,11 +68,12 @@
 //! raw-Mbps and serve-latency drifts stay warnings — wall-clock
 //! throughput on shared runners is too noisy to gate on).
 //!
-//! Schema `/11` drops the engine-kernel keys `kernel.selected`,
-//! `scaling.sliced_mbps`, `scaling.per_shard_mbps.sliced`,
-//! `scaling.auto_kernel` and `scaling.auto_decision`: the engine runs
-//! one worker loop, so there is no kernel choice left to report. Every
-//! other key keeps its `/10` meaning.
+//! Schema `/12` drops the whole `kernel` section — `kernel.simd_backend`,
+//! `kernel.lanes`, `kernel.bytes_per_lane_per_iteration`,
+//! `kernel.raw_mbps_scalar`, `kernel.raw_mbps_sliced`, `kernel.speedup`,
+//! `kernel.speedup_vs_per_bit` and `kernel.note`: the library no longer
+//! has a second generation kernel to compare against (`DESIGN.md` §9).
+//! Every other key keeps its `/11` meaning.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,7 +84,7 @@ use dhtrng_core::conditioning::{
     BitSink, Conditioner, CrcWhitener, LfsrConditioner, VonNeumannConditioner, XorFold,
 };
 use dhtrng_core::drbg::DrbgConfig;
-use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus, SlicedDhTrng, Trng};
+use dhtrng_core::{DhTrng, HealthMonitor, HealthStatus, Trng};
 use dhtrng_serve::{loadgen, LoadConfig, Service};
 use dhtrng_stream::{ring, AffinityPolicy, ConditionerSpec, EntropySource, EntropyStream, Tier};
 
@@ -193,40 +189,6 @@ fn four_shard_source() -> EntropySource {
         .chunk_bytes(64 * 1024)
         .build()
         .expect("valid source")
-}
-
-/// Raw kernel throughput over `lanes` same-seeded generators, both
-/// ways: the scalar shard-worker path (`lanes` sequential batched
-/// `fill_bytes`) against one lane-parallel sliced bank. The two
-/// produce identical bytes per lane, so the ratio is pure kernel
-/// speed — no stream/channel overhead in either number.
-fn measure_kernels(lanes: usize, bytes_per_lane: usize, budget_s: f64) -> (f64, f64) {
-    let seeded = |i: usize| DhTrng::builder().seed(1 + i as u64).build();
-    let mut scalars: Vec<DhTrng> = (0..lanes).map(seeded).collect();
-    let mut buf = vec![0u8; bytes_per_lane];
-    let scalar_s = time_mean_s(
-        || {
-            for trng in &mut scalars {
-                trng.fill_bytes(&mut buf);
-            }
-            std::hint::black_box(buf[0]);
-        },
-        budget_s,
-    );
-    let mut bank =
-        SlicedDhTrng::new((0..lanes).map(seeded).collect()).expect("MAX_LANES generators fit");
-    let mut chunks: Vec<Option<Vec<u8>>> = (0..lanes)
-        .map(|_| Some(vec![0u8; bytes_per_lane]))
-        .collect();
-    let sliced_s = time_mean_s(
-        || {
-            bank.fill_lane_chunks(&mut chunks);
-            std::hint::black_box(chunks[0].as_deref().map(|c| c[0]));
-        },
-        budget_s,
-    );
-    let bits = (lanes * bytes_per_lane) as f64 * 8.0;
-    (bits / scalar_s / 1e6, bits / sliced_s / 1e6)
 }
 
 /// Allocations per steady-state raw-tier chunk read (process-wide, so
@@ -681,31 +643,17 @@ fn main() {
     // 5. Serving latency under a concurrent client fleet.
     let serve = measure_serving(serve_clients, serve_reads);
 
-    // 6. Scalar vs bit-sliced block kernel at full lane width, plus
-    // which SIMD backend the sliced kernel picked.
-    let kernel_lanes = dhtrng_core::MAX_LANES;
-    let kernel_bytes_per_lane: usize = if quick { 1 << 12 } else { 1 << 15 };
-    let (raw_mbps_scalar, raw_mbps_sliced) =
-        measure_kernels(kernel_lanes, kernel_bytes_per_lane, budget_s);
-    let kernel_speedup = raw_mbps_sliced / raw_mbps_scalar;
-    // Same one-core aggregate basis: N per-bit generators time-sharing
-    // the core produce per_bit_mbps total, so the ratio is direct.
-    let kernel_speedup_vs_per_bit = raw_mbps_sliced / per_bit_mbps;
-    let simd_backend = SlicedDhTrng::new(vec![DhTrng::builder().seed(1).build()])
-        .expect("one lane always fits")
-        .backend_name();
-
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let single = DhTrng::builder().seed(1).build();
 
-    // 8. Telemetry overhead: the same steady-state chunk-read loop with
+    // 7. Telemetry overhead: the same steady-state chunk-read loop with
     // the recorder off (no-op default) and on (a bounded deterministic
     // Tracer — the heaviest shipped recorder, mutex and eviction
     // included). The tracer capacity is far below the event volume so
     // the measured path includes drop-oldest eviction.
-    // 9. Conditioning kernels: bit-serial vs block path per machine,
+    // 8. Conditioning kernels: bit-serial vs block path per machine,
     // ns per raw input bit, with a bit-exactness check per row. The
     // headline `block_speedup` is CRC ratio 2 — the pipeline default.
     let conditioning_bytes: usize = if quick { 1 << 14 } else { 1 << 16 };
@@ -732,7 +680,7 @@ fn main() {
     let conditioning_machines = conditioning_rows.join(",\n");
     let conditioned_allocs = measure_conditioned_allocs(alloc_reads);
 
-    // 10. Health gate: bit-serial vs word-level on one 64 KiB chunk.
+    // 9. Health gate: bit-serial vs word-level on one 64 KiB chunk.
     let health = measure_health(64 * 1024, budget_s);
 
     let (telemetry_off_ns, _) = measure_telemetry_point(None, budget_s, alloc_reads);
@@ -742,7 +690,7 @@ fn main() {
         measure_telemetry_point(Some(telemetry_tracer), budget_s, alloc_reads);
     let telemetry_overhead = telemetry_on_ns / telemetry_off_ns;
 
-    // 7. Multicore scaling + hand-off cost. The shard sweep runs with
+    // 6. Multicore scaling + hand-off cost. The shard sweep runs with
     // core_affinity(PerShard) engaged; on a 1-CPU host that declines to
     // pin and `measured` is false — the Mbps columns then show shard
     // workers time-sharing one core, not multicore scaling.
@@ -767,7 +715,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": "dhtrng-bench-report/11",
+  "schema": "dhtrng-bench-report/12",
   "quick": {quick},
   "host_cpus": {cpus},
   "batching": {{
@@ -814,16 +762,6 @@ fn main() {
     "delivery_violations": {serve_delivery_violations},
     "elapsed_secs": {serve_elapsed:.3},
     "note": "concurrent drbg client sessions over one shared 4-shard source via the dhtrng-serve connection state machine (full wire round-trips, sockets elided). Latencies are per-64-byte-read, nearest-rank percentiles; the run aborts unless protocol errors and exactly-once delivery violations are both zero."
-  }},
-  "kernel": {{
-    "simd_backend": "{simd_backend}",
-    "lanes": {kernel_lanes},
-    "bytes_per_lane_per_iteration": {kernel_bytes_per_lane},
-    "raw_mbps_scalar": {raw_mbps_scalar:.3},
-    "raw_mbps_sliced": {raw_mbps_sliced:.3},
-    "speedup": {kernel_speedup:.3},
-    "speedup_vs_per_bit": {kernel_speedup_vs_per_bit:.3},
-    "note": "aggregate one-core Mbps of 64 same-seeded generators: scalar = 64 sequential batched BlockKernel fill_bytes (the shard worker's path), sliced = one 64-lane SlicedKernel bank; identical bytes per lane, so the ratio is pure kernel speed. 'speedup' compares against the batched scalar kernel, which already autovectorizes across the 12-beat bank — that baseline caps bit-slicing's win well below the naive 64x (see DESIGN.md section 9); 'speedup_vs_per_bit' compares against the per-bit reference path (one next_bit per cycle, the pre-batching baseline the slicing motivation assumed). 'simd_backend' is the runtime-detected inner loop of the sliced kernel."
   }},
   "scaling": {{
     "measured": {scaling_measured},
@@ -908,13 +846,6 @@ fn main() {
         serve_protocol_errors = serve.protocol_errors,
         serve_delivery_violations = serve.delivery_violations,
         serve_elapsed = serve.elapsed_secs,
-        simd_backend = simd_backend,
-        kernel_lanes = kernel_lanes,
-        kernel_bytes_per_lane = kernel_bytes_per_lane,
-        raw_mbps_scalar = raw_mbps_scalar,
-        raw_mbps_sliced = raw_mbps_sliced,
-        kernel_speedup = kernel_speedup,
-        kernel_speedup_vs_per_bit = kernel_speedup_vs_per_bit,
         scaling_measured = scaling_measured,
         scaling_bytes = scaling_bytes,
         scalar_mbps_arr = mbps_array(&scaling_scalar_mbps),
@@ -939,7 +870,7 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
     eprintln!(
-        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; kernel {simd_backend} sliced-vs-scalar {kernel_speedup:.2}x; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate word {health_speedup:.1}x, match = {health_match})",
+        "wrote {out_path} (batch speedup {batch_speedup:.2}x, modeled scaling {modeled_scaling:.2}x, wall-clock scaling {wallclock_scaling:.2}x on {cpus} cpu(s); tiers raw/conditioned/drbg = {raw_sim:.0}/{cond_sim:.0}/{drbg_sim:.0} simulated Mbps; {allocs_per_read:.2} allocs/read steady-state; serve {clients} clients p50/p99 = {p50:.1}/{p99:.1} us; hand-off ring/mpsc = {handoff_ring_ns:.0}/{handoff_mpsc_ns:.0} ns, scaling measured = {scaling_measured}; telemetry overhead {telemetry_overhead:.3}x, {telemetry_on_allocs:.2} allocs/read recorder-on; conditioning crc2 block {conditioning_block_speedup:.2}x, all match = {conditioning_all_match}; health gate word {health_speedup:.1}x, match = {health_match})",
         clients = serve.clients,
         p50 = serve.p50_us,
         p99 = serve.p99_us,

@@ -166,8 +166,7 @@ impl BlockKernel {
     }
 
     /// [`new`](Self::new) with a typed rejection: callers that have no
-    /// per-bit fallback (the bit-sliced kernel, configuration
-    /// validators) get a [`KernelError`] naming the violated limit
+    /// per-bit fallback get a [`KernelError`] naming the violated limit
     /// instead of a silent `None`.
     ///
     /// # Errors

@@ -41,11 +41,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the bit-sliced kernel's AVX2 dispatch needs two
-// narrowly-scoped `#[allow(unsafe_code)]` items (a `target_feature`
-// function and its feature-checked call site in `slice`); everything
-// else stays unsafe-free and any new unsafe is still a hard error.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod architecture;
 pub mod array;
@@ -55,7 +51,6 @@ pub mod drbg;
 pub mod health;
 pub mod kernel;
 pub mod model;
-pub mod slice;
 pub mod telemetry;
 pub mod trng;
 
@@ -69,7 +64,6 @@ pub use kernel::{BitBlock, BlockSource, ConditionerStage, Stage};
 pub use model::{
     eq3_xor_expectation, eq4_xor_expectation_n, eq5_randomness_coverage, RingCoverage,
 };
-pub use slice::{Lane, SliceError, SlicedDhTrng, SlicedKernel, MAX_LANES};
 pub use telemetry::{
     MetricsHandle, NoopRecorder, Recorder, ShardSnapshot, Snapshot, StageEvent, TraceEvent, Tracer,
 };

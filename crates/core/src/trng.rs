@@ -463,26 +463,6 @@ impl DhTrng {
         let feedback = self.config.feedback.then_some((FEEDBACK_KICK, &mults[..]));
         BlockKernel::new(&self.beats, self.p_rand, self.bias, feedback)
     }
-
-    /// Suspends the generator into a [`Lane`](crate::slice::Lane)
-    /// snapshot for the bit-sliced kernel: beat bank, calibrated
-    /// probabilities, feedback strategy, and the exact noise-stream
-    /// position. A [`SlicedKernel`](crate::slice::SlicedKernel) lane
-    /// loaded from this continues the generator's output stream
-    /// bit-identically.
-    pub fn slice_lane(&self) -> crate::slice::Lane {
-        let feedback = self
-            .config
-            .feedback
-            .then(|| (FEEDBACK_KICK, feedback_kick_multipliers().to_vec()));
-        crate::slice::Lane::new(
-            self.beats.clone(),
-            self.p_rand,
-            self.bias,
-            feedback,
-            self.rng.state(),
-        )
-    }
 }
 
 impl Default for DhTrng {

@@ -26,7 +26,7 @@ use rand::{Rng, RngCore, SeedableRng};
 /// let mut b = NoiseRng::seed_from_u64(42);
 /// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoiseRng {
     inner: StdRng,
 }
@@ -91,24 +91,6 @@ impl NoiseRng {
     #[inline]
     pub fn bernoulli_fast(&mut self, threshold: u64) -> bool {
         (self.inner.next_u64() >> 11) < threshold
-    }
-
-    /// Snapshots the generator's raw state words.
-    ///
-    /// Together with [`from_state`](Self::from_state) this suspends and
-    /// resumes the exact stream position: the bit-sliced kernel
-    /// extracts each lane's noise state through this, advances it
-    /// lane-parallel with the same update rule, and loads it back.
-    pub fn state(&self) -> [u64; 4] {
-        self.inner.state()
-    }
-
-    /// Restores a generator from a [`state`](Self::state) snapshot; the
-    /// resumed generator continues the suspended stream bit-for-bit.
-    pub fn from_state(state: [u64; 4]) -> Self {
-        Self {
-            inner: StdRng::from_state(state),
-        }
     }
 }
 
@@ -259,21 +241,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn state_snapshot_resumes_the_exact_stream() {
-        let mut rng = NoiseRng::seed_from_u64(31);
-        // Advance to an arbitrary mid-stream position.
-        for _ in 0..97 {
-            rng.next_u64();
-        }
-        let snapshot = rng.state();
-        let mut resumed = NoiseRng::from_state(snapshot);
-        for _ in 0..256 {
-            assert_eq!(rng.next_u64(), resumed.next_u64());
-        }
-        assert_eq!(rng.state(), resumed.state());
     }
 
     #[test]

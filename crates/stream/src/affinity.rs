@@ -9,9 +9,9 @@
 //!
 //! The pinning itself is a raw `sched_setaffinity(2)` call on Linux,
 //! declared inline (`std` already links libc, so this adds no
-//! dependency) behind a scoped `unsafe` shim mirroring the AVX2
-//! dispatch precedent in `dhtrng-core`. On every other platform the
-//! shim is a no-op that reports "not pinned".
+//! dependency) behind a scoped `unsafe` shim, one of the stream
+//! crate's two `#[allow(unsafe_code)]` sites. On every other platform
+//! the shim is a no-op that reports "not pinned".
 
 use std::num::NonZeroUsize;
 

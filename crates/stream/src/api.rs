@@ -74,8 +74,8 @@ use crate::error::{ConfigError, Error};
 use crate::shard::HealthConfig;
 use crate::wake::EventCount;
 
-/// Default bound on per-session reseed credits (see
-/// [`SourceBuilder::reseed_credits`]).
+/// Bound on per-session reseed credits, unless a session overrides it
+/// (see [`SessionConfig::reseed_credits`]).
 pub const DEFAULT_RESEED_CREDITS: u32 = 4;
 
 /// Quality tier of a pipeline output stream.
@@ -160,8 +160,7 @@ impl ConditionerSpec {
 ///
 /// Engine knobs mirror [`EntropyStreamBuilder`]; the conditioning and
 /// DRBG stages add [`conditioner`](Self::conditioner) and
-/// [`drbg_config`](Self::drbg_config); the service layer adds
-/// [`reseed_credits`](Self::reseed_credits). Unlike
+/// [`drbg_config`](Self::drbg_config). Unlike
 /// [`EntropyStreamBuilder::build`], [`build`](Self::build) validates
 /// instead of panicking — source configuration is exactly what a
 /// daemon parses from untrusted input.
@@ -170,19 +169,16 @@ pub struct SourceBuilder {
     stream: EntropyStreamBuilder,
     conditioner: ConditionerSpec,
     drbg: DrbgConfig,
-    reseed_credits: u32,
 }
 
 impl SourceBuilder {
     /// Starts from the engine and stage defaults (4 shards, 64 KiB
-    /// chunks, 2:1 CRC conditioning, 1 Mbit DRBG reseed interval,
-    /// [`DEFAULT_RESEED_CREDITS`]).
+    /// chunks, 2:1 CRC conditioning, 1 Mbit DRBG reseed interval).
     pub fn new() -> Self {
         Self {
             stream: EntropyStreamBuilder::default(),
             conditioner: ConditionerSpec::default(),
             drbg: DrbgConfig::default(),
-            reseed_credits: 0, // 0 = use the default at build time
         }
     }
 
@@ -288,16 +284,6 @@ impl SourceBuilder {
         self
     }
 
-    /// Bound on per-session reseed credits: how many harvests a
-    /// session may take beyond its round-robin share before it is
-    /// demoted (or told [`Error::Backpressure`] in fail-fast mode).
-    /// Zero selects [`DEFAULT_RESEED_CREDITS`].
-    #[must_use]
-    pub fn reseed_credits(mut self, credits: u32) -> Self {
-        self.reseed_credits = credits;
-        self
-    }
-
     /// Validates the configuration and spawns the shared deployment.
     ///
     /// # Errors
@@ -315,11 +301,6 @@ impl SourceBuilder {
         let telemetry = raw.telemetry();
         let modeled_mbps = raw.throughput_mbps();
         let stage = ConditionerStage::new(self.conditioner.build());
-        let credits = if self.reseed_credits == 0 {
-            DEFAULT_RESEED_CREDITS
-        } else {
-            self.reseed_credits
-        };
         Ok(EntropySource {
             inner: Arc::new(Inner {
                 shared: Mutex::new(Shared {
@@ -341,7 +322,6 @@ impl SourceBuilder {
                 modeled_mbps,
                 spec: self.conditioner,
                 drbg_config: self.drbg,
-                max_reseed_credits: credits,
             }),
         })
     }
@@ -436,7 +416,6 @@ struct Inner {
     modeled_mbps: f64,
     spec: ConditionerSpec,
     drbg_config: DrbgConfig,
-    max_reseed_credits: u32,
 }
 
 impl Inner {
@@ -462,7 +441,6 @@ impl std::fmt::Debug for EntropySource {
         f.debug_struct("EntropySource")
             .field("conditioner", &self.inner.spec)
             .field("drbg_config", &self.inner.drbg_config)
-            .field("max_reseed_credits", &self.inner.max_reseed_credits)
             .field(
                 "live_sessions",
                 &self.inner.live_sessions.load(Ordering::Relaxed),
@@ -502,9 +480,7 @@ impl EntropySource {
         if config.tier == Tier::Drbg {
             self.inner.drbg_sessions.fetch_add(1, Ordering::Relaxed);
         }
-        let max_credits = config
-            .reseed_credits
-            .unwrap_or(self.inner.max_reseed_credits);
+        let max_credits = config.reseed_credits.unwrap_or(DEFAULT_RESEED_CREDITS);
         let rounds = self.inner.lock().arbiter.rounds();
         Session {
             source: self.clone(),
@@ -532,10 +508,11 @@ impl EntropySource {
     /// A consistent snapshot of the source's service counters.
     pub fn stats(&self) -> SourceStats {
         let shared = self.inner.lock();
+        let telemetry = self.inner.telemetry.snapshot();
         SourceStats {
             shards: shared.raw.shards(),
             chunk_bytes: shared.raw.chunk_bytes(),
-            restarts: shared.raw.restarts(),
+            restarts: telemetry.restarts,
             degraded: shared.degraded,
             live_sessions: self.inner.live_sessions.load(Ordering::Relaxed),
             sessions_opened: self.inner.sessions_opened.load(Ordering::Relaxed),
@@ -545,7 +522,7 @@ impl EntropySource {
             consumed_bits: shared.stage.consumed(),
             emitted_bits: shared.stage.emitted(),
             modeled_raw_mbps: self.inner.modeled_mbps,
-            telemetry: self.inner.telemetry.snapshot(),
+            telemetry,
         }
     }
 
@@ -570,11 +547,6 @@ impl EntropySource {
     /// The source-default DRBG policy for drbg sessions.
     pub fn drbg_config(&self) -> DrbgConfig {
         self.inner.drbg_config
-    }
-
-    /// The bound on per-session reseed credits.
-    pub fn max_reseed_credits(&self) -> u32 {
-        self.inner.max_reseed_credits
     }
 
     /// Modeled hardware throughput of the raw tier (sum over shards).
@@ -606,8 +578,8 @@ pub struct SessionConfig {
     pub quota: Option<u64>,
     /// Per-session DRBG policy override (`None` = the source default).
     pub drbg: Option<DrbgConfig>,
-    /// Per-session reseed-credit bound override (`None` = the source
-    /// default).
+    /// Per-session reseed-credit bound override (`None` =
+    /// [`DEFAULT_RESEED_CREDITS`]).
     pub reseed_credits: Option<u32>,
     /// When out of reseed credits with other sessions contending,
     /// return the retriable [`Error::Backpressure`] instead of

@@ -10,12 +10,12 @@
 //!   contention every session's reseeds interleave instead of one hot
 //!   session monopolising the source.
 //! * **Bounded credits = backpressure.** Each session holds at most
-//!   `max_reseed_credits` credits; a harvest spends one, and a credit
-//!   is earned back for every round *other* sessions advance. A
-//!   session that reseeds faster than its fair share runs dry and is
-//!   demoted to the back of the queue once per request ([`Turn::Demote`])
-//!   — or, in fail-fast mode, told [`Backpressure`](crate::Error::Backpressure)
-//!   outright.
+//!   `DEFAULT_RESEED_CREDITS` credits (or its session's own bound); a
+//!   harvest spends one, and a credit is earned back for every round
+//!   *other* sessions advance. A session that reseeds faster than its
+//!   fair share runs dry and is demoted to the back of the queue once
+//!   per request ([`Turn::Demote`]) — or, in fail-fast mode, told
+//!   [`Backpressure`](crate::Error::Backpressure) outright.
 //!
 //! The demotion fires at most once per request (the caller tracks the
 //! `demoted` flag), so a dry session is delayed by exactly one queue

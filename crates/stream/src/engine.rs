@@ -266,7 +266,6 @@ impl EntropyStreamBuilder {
         let buffers_per_shard = self.queue_chunks + POOL_SLACK;
         let mut links = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
-        let mut restarts = Vec::with_capacity(self.shards);
         let mut placements = Vec::with_capacity(self.shards);
         let mut modeled_mbps = 0.0;
         for (shard, &seed) in seeds.iter().enumerate() {
@@ -278,8 +277,6 @@ impl EntropyStreamBuilder {
             // a row of the fabric.
             placements.push(trng.placement((shard as u32 * PLACEMENT_PITCH, 0)));
             modeled_mbps += trng.throughput_mbps();
-            let counter = Arc::new(AtomicU64::new(0));
-            restarts.push(Arc::clone(&counter));
             // The data ring buffers `queue_chunks` produced chunks
             // (rounded up to a power of two) before the worker blocks.
             // Every ring shares the stream-wide park/wake tallies.
@@ -313,7 +310,6 @@ impl EntropyStreamBuilder {
                 health: self.health,
                 chunk_bytes: self.chunk_bytes,
                 max_consecutive_restarts: self.max_consecutive_restarts,
-                restarts: counter,
                 pool: pool_rx,
                 fail_after_chunks,
                 telemetry: Arc::clone(&telemetry),
@@ -339,7 +335,6 @@ impl EntropyStreamBuilder {
         }
         EntropyStream {
             exec: Executor::new(links, workers, self.shards * buffers_per_shard, telemetry),
-            restarts,
             placements,
             modeled_mbps,
             chunk_bytes: self.chunk_bytes,
@@ -377,7 +372,6 @@ impl EntropyStreamBuilder {
 #[derive(Debug)]
 pub struct EntropyStream {
     exec: Executor,
-    restarts: Vec<Arc<AtomicU64>>,
     placements: Vec<Placement>,
     modeled_mbps: f64,
     chunk_bytes: usize,
@@ -473,21 +467,11 @@ impl EntropyStream {
         self.exec.bytes_delivered()
     }
 
-    /// Total shard restarts triggered by health-test failures.
+    /// Total shard restarts triggered by health-test failures (the
+    /// telemetry tally; one shard's share is
+    /// `metrics().shard_snapshot(shard).restarts`).
     pub fn restarts(&self) -> u64 {
-        self.restarts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Restarts of one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_restarts(&self, shard: usize) -> u64 {
-        self.restarts[shard].load(Ordering::Relaxed)
+        self.exec.telemetry().snapshot().restarts
     }
 
     /// Chunk buffers created for the recycled pool — a pure function of

@@ -76,9 +76,9 @@
 
 #![deny(missing_docs)]
 // Unsafe is denied crate-wide and allowed back in exactly two leaf
-// modules, each with per-site SAFETY comments (mirroring the AVX2
-// dispatch precedent in `dhtrng-core`): the SPSC ring's slot cells
-// (`ring`) and the Linux `sched_setaffinity` shim (`affinity`).
+// modules, each with per-site SAFETY comments: the SPSC ring's slot
+// cells (`ring`) and the Linux `sched_setaffinity` shim (`affinity`).
+// Every other library crate forbids unsafe outright.
 #![deny(unsafe_code)]
 
 pub mod affinity;

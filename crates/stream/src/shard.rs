@@ -15,7 +15,6 @@
 //! [`Error::ShardFailed`] and retires instead of flooding restarts
 //! forever.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dhtrng_core::kernel::{BitBlock, BlockSource};
@@ -178,8 +177,6 @@ pub(crate) struct ShardWorker {
     pub(crate) health: HealthConfig,
     pub(crate) chunk_bytes: usize,
     pub(crate) max_consecutive_restarts: u32,
-    /// Shared restart counter (read by the engine's statistics).
-    pub(crate) restarts: Arc<AtomicU64>,
     /// Recycled buffers come back from the consumer over this ring.
     pub(crate) pool: Consumer<Vec<u8>>,
     /// Deterministic fault injection: retire after this many healthy
@@ -259,10 +256,9 @@ impl ShardWorker {
                 });
             }
             // Graceful restart: power-cycle the instance and start the
-            // monitor over on the fresh source. The shared counter
+            // monitor over on the fresh source. The telemetry tally
             // counts restarts actually performed.
             restarts_performed += 1;
-            self.restarts.fetch_add(1, Ordering::Relaxed);
             self.telemetry
                 .restart(self.shard, u64::from(restarts_performed));
             self.trng.restart();

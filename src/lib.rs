@@ -106,7 +106,7 @@ pub mod prelude {
     };
     pub use dhtrng_core::{
         DhTrng, DhTrngArray, DhTrngBuilder, HealthMonitor, HealthStatus, HybridUnitGroup,
-        KernelError, SliceError, SlicedDhTrng, SlicedKernel, Trng,
+        KernelError, Trng,
     };
     pub use dhtrng_fpga::Device;
     pub use dhtrng_noise::{NoiseRng, PvtCorner};

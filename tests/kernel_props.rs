@@ -2,7 +2,8 @@
 //! for random beat banks of every size the kernel accepts, with and
 //! without the feedback line, every fill and every partial word must
 //! equal the per-bit stream, and the phases and noise state the kernel
-//! writes back must continue that stream exactly.
+//! writes back must continue that stream exactly. The same holds at the
+//! saturation corners of the Eq. 5 probability knobs.
 
 use dh_trng::core::batch::MAX_BEATS;
 use dh_trng::core::model::BeatOscillator;
@@ -107,7 +108,43 @@ proptest! {
         for _ in 0..256 {
             prop_assert_eq!(batched.next_bit(), reference.next_bit());
         }
-        prop_assert_eq!(batched.rng.state(), reference.rng.state());
+        prop_assert_eq!(&batched.rng, &reference.rng);
+        for (a, b) in batched.beats.iter().zip(&reference.beats) {
+            prop_assert_eq!(a.phase().to_bits(), b.phase().to_bits());
+        }
+    }
+
+    /// The Eq. 5 probability corners the random draws above never hit:
+    /// `p_rand` saturated at 0 and 1, and a sampler bias from
+    /// denormal-small (an acceptance threshold of one) up to 0.5, where
+    /// the reference's `bernoulli(2 * bias)` always fires. The kernel's
+    /// integer thresholds must decide exactly as the float draws do.
+    #[test]
+    fn kernel_matches_the_per_bit_path_at_probability_corners(
+        seed in any::<u64>(),
+        beats in 1..MAX_BEATS + 1,
+        feedback in any::<bool>(),
+        p_rand_pick in 0usize..2,
+        bias_pick in 0usize..3,
+        len in 1usize..200,
+    ) {
+        const P_RANDS: [f64; 2] = [0.0, 1.0];
+        const BIASES: [f64; 3] = [0.0, 1e-18, 0.5];
+        let mut reference = Generator::new(seed, beats, feedback);
+        reference.p_rand = P_RANDS[p_rand_pick];
+        reference.bias = BIASES[bias_pick];
+        let mut batched = reference.clone();
+        let mut kernel = batched.kernel();
+        let mut buf = vec![0u8; len];
+        kernel.fill_bytes(&mut batched.rng, &mut buf);
+        let expected: Vec<u8> = (0..len).map(|_| reference.next_bits(8) as u8).collect();
+        prop_assert_eq!(
+            buf, expected,
+            "p_rand {}, bias {}, {} beats, feedback {}",
+            reference.p_rand, reference.bias, beats, feedback
+        );
+        kernel.write_back(&mut batched.beats);
+        prop_assert_eq!(&batched.rng, &reference.rng);
         for (a, b) in batched.beats.iter().zip(&reference.beats) {
             prop_assert_eq!(a.phase().to_bits(), b.phase().to_bits());
         }

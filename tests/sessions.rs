@@ -20,6 +20,10 @@
 //! stream is a unit-aligned concatenation of units from the global
 //! stream, and units can be matched exactly against a sole-session
 //! reference run.
+//!
+//! That reference run is itself pinned: at every tier, a sole session
+//! on a multi-shard source reads exactly the shards' streams merged
+//! round-robin, passed through the core conditioning and DRBG adaptors.
 
 use std::collections::{HashMap, HashSet};
 
@@ -362,4 +366,133 @@ fn quotas_are_per_session_not_per_source() {
     // The sibling session is untouched by its neighbour's quota.
     unmetered.read(&mut buf).expect("unmetered");
     assert_eq!(unmetered.quota_remaining(), None);
+}
+
+/// A recorded byte stream replayed as a `Trng`, most significant bit
+/// first, so the core conditioning adaptors can run over it.
+struct Replay {
+    bytes: Vec<u8>,
+    bit: usize,
+}
+
+impl Trng for Replay {
+    fn next_bit(&mut self) -> bool {
+        let bit = (self.bytes[self.bit / 8] >> (7 - self.bit % 8)) & 1 == 1;
+        self.bit += 1;
+        bit
+    }
+}
+
+/// The engine's deterministic merge, rebuilt from plain generators:
+/// generator `i` is seeded like shard `i` of a `seed`-mastered
+/// deployment, and each round appends every generator's next `chunk`
+/// bytes in shard order.
+fn merged_shard_stream(shards: u64, seed: u64, chunk: usize, rounds: usize) -> Vec<u8> {
+    let mut generators: Vec<DhTrng> = (0..shards)
+        .map(|i| {
+            DhTrng::builder()
+                .seed(EntropyStreamBuilder::derive_shard_seed(seed, i))
+                .build()
+        })
+        .collect();
+    let mut merged = vec![0u8; shards as usize * chunk * rounds];
+    for (slot, round_chunk) in merged.chunks_mut(chunk).enumerate() {
+        generators[slot % shards as usize].fill_bytes(round_chunk);
+    }
+    merged
+}
+
+/// A multi-shard deployment is its shards' streams merged round-robin
+/// at every tier: a sole session reproduces the replayed merge, the
+/// raw tier verbatim and the conditioned and drbg tiers through the
+/// core `Conditioned` and `Drbg` adaptors over the merged bytes.
+#[test]
+fn sole_sessions_reproduce_the_merged_shard_stream_at_every_tier() {
+    const SHARDS: usize = 3;
+    const SEED: u64 = 90;
+    const CHUNK: usize = 512;
+    const READ: usize = 2048;
+    // The conditioned tier compresses 2:1, so READ bytes of it need
+    // 2 * READ raw bytes: 8 chunks, inside 4 rounds of 3.
+    let merged = merged_shard_stream(SHARDS as u64, SEED, CHUNK, 4);
+    let conditioned = || {
+        Conditioned::new(
+            Replay {
+                bytes: merged.clone(),
+                bit: 0,
+            },
+            CrcWhitener::new(2),
+        )
+    };
+    for tier in [Tier::Raw, Tier::Conditioned, Tier::Drbg] {
+        let mut session = EntropySource::builder()
+            .shards(SHARDS)
+            .seed(SEED)
+            .chunk_bytes(CHUNK)
+            .build()
+            .expect("valid configuration")
+            .session(tier);
+        let mut got = vec![0u8; READ];
+        session.read(&mut got).expect("healthy");
+
+        let mut want = vec![0u8; READ];
+        match tier {
+            Tier::Raw => want.copy_from_slice(&merged[..READ]),
+            Tier::Conditioned => Trng::fill_bytes(&mut conditioned(), &mut want),
+            Tier::Drbg => Trng::fill_bytes(
+                &mut Drbg::new(conditioned(), DrbgConfig::default()),
+                &mut want,
+            ),
+        }
+        assert_eq!(got, want, "{tier:?}");
+    }
+}
+
+/// Shard `i`'s stream depends only on the master seed and `i`, never
+/// on how many siblings it has: at single, even, odd and prime shard
+/// counts the raw tier is the same per-shard generators merged
+/// round-robin.
+#[test]
+fn shard_streams_do_not_depend_on_the_shard_count() {
+    const SEED: u64 = 7000;
+    const CHUNK: usize = 256;
+    const ROUNDS: usize = 2;
+    for shards in [1usize, 2, 5, 13] {
+        let mut session = EntropySource::builder()
+            .shards(shards)
+            .seed(SEED)
+            .chunk_bytes(CHUNK)
+            .build()
+            .expect("valid configuration")
+            .session(Tier::Raw);
+        let mut got = vec![0u8; shards * CHUNK * ROUNDS];
+        session.read(&mut got).expect("healthy");
+        assert_eq!(
+            got,
+            merged_shard_stream(shards as u64, SEED, CHUNK, ROUNDS),
+            "{shards} shards"
+        );
+    }
+}
+
+/// The shard-count edge: a source at the ceiling of 64 shards builds
+/// and its first merge round is every shard's generator in order, and
+/// one shard more is a typed configuration error, not a panic.
+#[test]
+fn the_64_shard_ceiling_is_accepted_exactly_and_65_is_rejected() {
+    const SEED: u64 = 100;
+    const CHUNK: usize = 16;
+    let mut session = EntropySource::builder()
+        .shards(64)
+        .seed(SEED)
+        .chunk_bytes(CHUNK)
+        .build()
+        .expect("64 shards is inside 1..=64")
+        .session(Tier::Raw);
+    let mut got = vec![0u8; 64 * CHUNK];
+    session.read(&mut got).expect("healthy");
+    assert_eq!(got, merged_shard_stream(64, SEED, CHUNK, 1));
+
+    let err = EntropySource::builder().shards(65).build().unwrap_err();
+    assert_eq!(err, dh_trng::stream::ConfigError::Shards { got: 65 });
 }
